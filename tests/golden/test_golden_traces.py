@@ -56,6 +56,29 @@ CASES = {
     "scale-protection": dict(
         audience=1000, attacker_fraction=0.01, attack_start_s=6.0, duration_s=18.0
     ),
+    # The model="vector" realisation: many cohort rows per edge-router
+    # receiver, honest and adversarial, on one region and on a sharded
+    # two-region spec (the digest realises it as one in-process scenario).
+    "scale-dumbbell-1m": dict(
+        receivers=20000,
+        cohorts=256,
+        attackers=200,
+        attacker_cohorts=8,
+        edges=8,
+        attack_start_s=6.0,
+        duration_s=18.0,
+    ),
+    "scale-dumbbell-10m": dict(
+        receivers=40000,
+        cohorts=256,
+        attackers=400,
+        attacker_cohorts=16,
+        regions=2,
+        edges_per_region=4,
+        shards=2,
+        attack_start_s=6.0,
+        duration_s=18.0,
+    ),
 }
 
 
