@@ -11,8 +11,10 @@ The package is organised bottom-up:
   distribution), SIGMA (key-based group access at edge routers), the time-slot
   pipeline and the analytic overhead model.
 * :mod:`repro.transport` — TCP Reno and CBR cross traffic.
-* :mod:`repro.multicast_cc` — FLID-DL, FLID-DS, misbehaving receivers and the
-  replicated-multicast variant.
+* :mod:`repro.multicast_cc` — FLID-DL, FLID-DS, aggregated receiver cohorts
+  and the replicated-multicast variant.
+* :mod:`repro.adversary` — misbehaving receivers as composable attack
+  strategies.
 * :mod:`repro.analysis` — throughput, fairness and convergence analysis.
 * :mod:`repro.experiments` — one module per paper figure, with the §5.1
   settings as defaults.

@@ -36,7 +36,6 @@ from .strategies import (
 )
 from .receivers import AdversarialFlidDlReceiver, AdversarialFlidDsReceiver
 from .cohort import AdversarialCohortFlidDlReceiver, AdversarialCohortFlidDsReceiver
-from .vector import AdversarialVectorFlidDlReceiver, AdversarialVectorFlidDsReceiver
 
 __all__ = [
     "AttackContext",
@@ -59,6 +58,4 @@ __all__ = [
     "AdversarialFlidDsReceiver",
     "AdversarialCohortFlidDlReceiver",
     "AdversarialCohortFlidDsReceiver",
-    "AdversarialVectorFlidDlReceiver",
-    "AdversarialVectorFlidDsReceiver",
 ]

@@ -1,4 +1,4 @@
-"""Adversarial cohorts: N batched attackers behind one edge interface.
+"""Adversarial cohorts: batched attackers behind one edge interface.
 
 The paper's robustness claim is *population-relative*: however large the
 honest audience grows, a bounded set of misbehaving receivers gains at most
@@ -7,25 +7,28 @@ needs the attackers themselves to aggregate, so these classes extend the
 cohort receivers of :mod:`repro.multicast_cc.cohort` with the strategy
 dispatch of :mod:`repro.adversary.receivers`:
 
-* the honest pipeline underneath stays the *batched* cohort one (columnar
-  ``(count, level)`` rows through the pure decision functions);
+* the honest pipeline underneath stays the cohort one (one scalar decision
+  per slot for every member row);
 * the mounted strategies act once per slot through a capability-scoped
   :class:`~repro.adversary.context.AttackContext` whose ``member_count``
   equals the cohort population, so every attack counter, IGMP report weight
   and SIGMA ``member_count`` stamp books the attack **per member**;
 * only *batch-exact* strategies are allowed
-  (:data:`~repro.adversary.spec.COHORT_BATCHED_STRATEGIES` — since PR 8 the
-  whole registry): every strategy's per-slot action reduces to a pure rule
+  (:data:`~repro.adversary.spec.COHORT_BATCHED_STRATEGIES` — the whole
+  registry): every strategy's per-slot action reduces to a pure scalar rule
   in :mod:`repro.multicast_cc.decision`
   (:data:`~repro.adversary.spec.BATCHED_DECISION_RULES` names the pairing),
   with per-cohort randomness drawn once per slot from the strategy's named
   seeded stream and collusion pools taking member-weighted contributions —
   see ``docs/threat-model.md`` for the per-strategy account.
 
-``tests/experiments/test_adversarial_cohort_equivalence.py`` asserts the
-contract exactly: a cohort of N attackers produces the same level
-trajectories, per-member goodput and SIGMA/IGMP/attack counters as N
-individual attackers mounting the same spec.
+``model="cohort"`` realises one adversarial receiver per attacker cohort,
+``model="vector"`` one per edge router carrying that edge's attacker rows.
+``tests/experiments/test_adversarial_cohort_equivalence.py`` and
+``tests/experiments/test_vector_equivalence.py`` assert the contract
+exactly: N aggregated attackers produce the same level trajectories,
+per-member goodput and SIGMA/IGMP/attack counters as N individual attackers
+mounting the same spec.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..multicast_cc.cohort import CohortFlidDlReceiver, CohortFlidDsReceiver
-from ..multicast_cc.decision import decide_inflated_join_batch, merge_rows
 from ..multicast_cc.session import SessionSpec
 from ..simulator.node import Host
 from ..simulator.topology import Network
@@ -48,7 +50,7 @@ __all__ = [
 
 
 class _CohortAdversaryMixin(_AdversaryMixin):
-    """Strategy dispatch over a cohort's batched honest pipeline."""
+    """Strategy dispatch over a cohort's honest pipeline."""
 
     def attach_churn(self, process) -> None:
         """Adversarial cohorts cannot churn (enforced here, not just in specs).
@@ -67,32 +69,16 @@ class _CohortAdversaryMixin(_AdversaryMixin):
         for strategy in strategies:
             if strategy.name not in COHORT_BATCHED_STRATEGIES:
                 raise ValueError(
-                    f"strategy {strategy.name!r} has no batched decision rules "
-                    f"in repro.multicast_cc.decision (BATCHED_DECISION_RULES) "
+                    f"strategy {strategy.name!r} has no decision rules in "
+                    f"repro.multicast_cc.decision (BATCHED_DECISION_RULES) "
                     f"and cannot mount on a cohort; batch-exact strategies: "
                     f"{sorted(COHORT_BATCHED_STRATEGIES)}"
                 )
         super()._init_adversary(strategies)
 
-    def _set_level(self, level: int) -> None:
-        """Keep the columnar state block in lockstep with strategy overrides.
-
-        Strategies may overwrite the subscription level outside the honest
-        decision path (``AttackContext.set_level``); a homogeneous attacker
-        cohort moves as one, so every row is pinned at the clamped level —
-        which is exactly the batched frozen-subscription rule
-        (:func:`~repro.multicast_cc.decision.decide_inflated_join_batch`)
-        mapped over the block.
-        """
-        super()._set_level(level)
-        outcomes = decide_inflated_join_batch(self._rows, self.level)
-        self._rows = merge_rows(
-            [(count, decision.next_level) for count, decision in outcomes]
-        )
-
 
 class AdversarialCohortFlidDlReceiver(_CohortAdversaryMixin, CohortFlidDlReceiver):
-    """FLID-DL cohort of ``population`` attackers mounting one strategy stack."""
+    """FLID-DL cohort of ``counts`` attacker rows mounting one strategy stack."""
 
     def __init__(
         self,
@@ -100,23 +86,23 @@ class AdversarialCohortFlidDlReceiver(_CohortAdversaryMixin, CohortFlidDlReceive
         host: Host,
         spec: SessionSpec,
         strategies: Sequence[AttackStrategy],
-        population: int,
+        counts: Sequence[int],
         bin_width_s: float = 1.0,
         name: str = "",
     ) -> None:
         super().__init__(
-            network, host, spec, population=population, bin_width_s=bin_width_s, name=name
+            network, host, spec, counts=counts, bin_width_s=bin_width_s, name=name
         )
         self._init_adversary(strategies)
 
 
 class AdversarialCohortFlidDsReceiver(_CohortAdversaryMixin, CohortFlidDsReceiver):
-    """FLID-DS cohort of ``population`` attackers mounting one strategy stack.
+    """FLID-DS cohort of ``counts`` attacker rows mounting one strategy stack.
 
-    The batched DELTA pipeline keeps running (reconstruction once per
-    distinct level, one ``member_count``-stamped subscription message per
-    slot); strategies see the reconstructed keys through the same
-    :meth:`on_keys` hook as on an individual adversarial receiver.
+    The cohort DELTA pipeline keeps running (one reconstruction and one
+    ``member_count``-stamped subscription message per slot); strategies see
+    the reconstructed keys through the same :meth:`on_keys` hook as on an
+    individual adversarial receiver.
     """
 
     def __init__(
@@ -125,7 +111,7 @@ class AdversarialCohortFlidDsReceiver(_CohortAdversaryMixin, CohortFlidDsReceive
         host: Host,
         spec: SessionSpec,
         strategies: Sequence[AttackStrategy],
-        population: int,
+        counts: Sequence[int],
         key_bits: int = 16,
         bin_width_s: float = 1.0,
         name: str = "",
@@ -134,7 +120,7 @@ class AdversarialCohortFlidDsReceiver(_CohortAdversaryMixin, CohortFlidDsReceive
             network,
             host,
             spec,
-            population=population,
+            counts=counts,
             key_bits=key_bits,
             bin_width_s=bin_width_s,
             name=name,

@@ -90,7 +90,8 @@ class IgnoreCongestionStrategy(AttackStrategy):
     pipeline — under DELTA the attacker then computes top keys from an
     incomplete component set, submits garbage, and loses access by itself.
     ``mode="hold"`` suppresses the decision on congested slots instead
-    (the historical ``IgnoreCongestionFlidDlReceiver`` behaviour).
+    (the receiver then never decreases on loss and only increases when
+    authorised).
     """
 
     name = "ignore-congestion"

@@ -31,6 +31,7 @@ import json
 import os
 import tempfile
 import time
+import uuid
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -210,8 +211,8 @@ def _attacker_object_indices(decl: SessionDecl, session: Any) -> Dict[int, bool]
     Object indices align with the realised ``session.receivers``: the
     ``decl.receivers`` individuals first, then each population block.  How
     many objects a block realised as depends on its model (``count``
-    individuals, ``cohorts`` per-cohort objects, one vector receiver per
-    edge router), so the mapping reads the session's recorded
+    individuals, ``cohorts`` one-row cohort objects, one cohort receiver
+    per edge router for ``model="vector"``), so the mapping reads the session's recorded
     ``block_slices`` instead of re-deriving the arithmetic.
     """
     attackers: Dict[int, bool] = {index: False for index in decl.attacker_indices()}
@@ -509,7 +510,7 @@ class ResultCache:
     One directory maps ``sha256(version tag + canonical spec JSON)`` to the
     spec's canonical result document (``<key>.json``).  The store is safe to
     share between concurrent runners, the service daemon and its clients:
-    entries are published atomically (pid-suffixed tmp + :func:`os.replace`)
+    entries are published atomically (:func:`atomic_write`)
     and a torn or corrupt entry reads as a miss, never as state.  With no
     directory every operation is a no-op/miss, so callers need no branching.
     """
@@ -572,26 +573,35 @@ class ResultCache:
     def store(self, spec: ScenarioSpec, output: str) -> None:
         """Atomically publish ``output`` as the cache entry for ``spec``.
 
-        The document is written to a pid-suffixed ``.tmp`` sibling and
-        :func:`os.replace`-d into place, so concurrent writers sharing one
-        directory and interrupted runs can never leave a torn entry under
-        the final name — readers see the old state or the whole new
-        document, nothing in between.
+        Published through :func:`atomic_write`, so concurrent writers
+        sharing one directory and interrupted runs can never leave a torn
+        entry under the final name — readers see the old state or the
+        whole new document, nothing in between.
         """
         path = self.path(spec)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        atomic_write(path, output.encode("utf-8"))
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Publish ``data`` at ``path`` atomically.
+
+    The bytes go to a ``.tmp`` sibling named uniquely per write — no two
+    writers, whether processes or threads of one process, ever share one —
+    which :func:`os.replace` then moves into place.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
         try:
-            tmp.write_text(output)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
 
 
 def blob_descriptors(spec: ScenarioSpec, plan: Any) -> List[Tuple]:

@@ -40,11 +40,11 @@ per edge interface; see ``docs/scale.md``):
   protection grid; :func:`run_scale_protection_sweep` fans the full grid
   through the parallel :class:`~repro.experiments.runner.ExperimentRunner`
   (see ``examples/attack_at_scale.py``).
-* ``scale-dumbbell-1m`` — the columnar-engine flagship: a 1,000,000-receiver
+* ``scale-dumbbell-1m`` — the single-region flagship: a 1,000,000-receiver
   honest audience split across thousands of cohort rows on a generated
   multi-edge dumbbell, with an adversarial inflated-join population riding
-  the same edges — both realised as ``model="vector"`` blocks advanced one
-  array pass per slot by the :mod:`~repro.multicast_cc.population` engine
+  the same edges — both realised as ``model="vector"`` blocks, one
+  aggregated :mod:`~repro.multicast_cc.cohort` receiver per edge router
   (completes on one CPU inside the 5-minute CI scale-smoke budget).
 * ``scale-dumbbell-10m`` — the region-sharded flagship: the same duel at
   10,000,000 receivers on a ``sharded-dumbbell`` topology whose 8 regions
@@ -100,8 +100,8 @@ def scale_dumbbell_spec(
     individual receiver mounts the paper's default inflated-subscription
     stack from ``attack_start_s`` — few attackers, many honest receivers,
     exactly the paper's threat model at scale.  ``cohorts`` splits the
-    audience into that many cohort rows (the axis the columnar-engine
-    benchmark sweeps); ``None`` keeps the single-cohort legacy shape.
+    audience into that many cohort rows (the axis the scale benchmark
+    sweeps); ``None`` keeps the single-cohort legacy shape.
     """
     return ScenarioSpec(
         name="scale-dumbbell-10k",
@@ -150,9 +150,9 @@ def scale_dumbbell_1m_spec(
     ``cohorts`` cohort rows and an ``attackers`` session mounting the
     inflated-join strategy from ``attack_start_s`` share one fair-share-sized
     bottleneck feeding ``edges`` edge routers.  Both populations are
-    ``model="vector"`` blocks: the columnar engine round-robins the cohort
-    rows over the edge routers and advances each edge's block through the
-    array-form decision rules in one pass per slot, so the Python object
+    ``model="vector"`` blocks: the cohort rows are dealt round-robin over
+    the edge routers and each edge's rows ride one aggregated receiver that
+    runs the scalar decision rules once per slot, so the Python object
     count scales with ``edges`` — not ``cohorts``, and certainly not
     ``receivers``.  That is what lets a 1M-receiver scenario finish on one
     CPU inside the CI scale-smoke budget (see ``docs/scale.md``).
@@ -199,8 +199,8 @@ def scale_dumbbell_1m_spec(
 register_scenario(
     "scale-dumbbell-1m",
     "Inflated-join attacker population against a 1,000,000-receiver honest "
-    "audience on a 32-edge dumbbell — thousands of cohort rows advanced by "
-    "the columnar population engine in one array pass per slot",
+    "audience on a 32-edge dumbbell — thousands of cohort rows carried by "
+    "one aggregated receiver per edge router",
 )(scale_dumbbell_1m_spec)
 
 

@@ -34,10 +34,6 @@ from ..adversary.cohort import (
     AdversarialCohortFlidDsReceiver,
 )
 from ..adversary.receivers import AdversarialFlidDlReceiver, AdversarialFlidDsReceiver
-from ..adversary.vector import (
-    AdversarialVectorFlidDlReceiver,
-    AdversarialVectorFlidDsReceiver,
-)
 from ..adversary.registry import build_strategies
 from ..adversary.spec import AttackSpec
 from ..core.sigma import SigmaConfig, SigmaRouterAgent
@@ -51,12 +47,9 @@ from ..multicast_cc import (
     FlidDsReceiver,
     FlidDsSender,
     IndividualReceiver,
-    PopulationTable,
     ReceiverCohort,
     ReceiverModel,
     SessionSpec,
-    VectorFlidDlReceiver,
-    VectorFlidDsReceiver,
 )
 from ..multicast_cc.population import split_counts
 from ..multicast_cc.receiver_base import LayeredReceiverBase
@@ -78,7 +71,7 @@ from .spec import CohortDecl, ScenarioSpec
 
 #: Stamped into every :meth:`Scenario.checkpoint` blob; bump whenever the
 #: pickled state layout changes so stale blobs read as misses, never as state.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 __all__ = ["MulticastSession", "Scenario"]
 
@@ -103,8 +96,8 @@ class MulticastSession:
     #: its realised receiver objects occupy in ``receivers`` — one entry per
     #: ``SessionDecl.population`` declaration, in declaration order.  How
     #: many objects a block realises as depends on the model (``count`` for
-    #: individuals, ``cohorts`` for per-cohort objects, one per edge router
-    #: for vector blocks), so downstream code maps declarations to objects
+    #: individuals, ``cohorts`` for ``model="cohort"``, one per edge router
+    #: for ``model="vector"``), so downstream code maps declarations to objects
     #: through these slices rather than re-deriving the arithmetic.
     block_slices: List[Tuple[int, int]] = field(default_factory=list)
 
@@ -163,9 +156,6 @@ class Scenario:
         self.sigma_agents: List[SigmaRouterAgent] = []
         self.igmp_managers: List[IgmpGroupManager] = []
         self.slot_clock: Optional[SlotClock] = None
-        #: Columnar population state shared by every vector block of the
-        #: scenario (``None`` until the first ``model="vector"`` block).
-        self.population_table: Optional[PopulationTable] = None
         self._next_port = 5000
 
         if protected:
@@ -365,16 +355,16 @@ class Scenario:
         c_index: int,
         cohort: CohortDecl,
     ) -> None:
-        """Realise one population block as cohorts, individuals or columns.
+        """Realise one population block as individuals or cohort receivers.
 
         A block carrying an :class:`~repro.adversary.spec.AttackSpec`
-        realises as an adversarial cohort (every member mounts the declared
+        realises as adversarial cohorts (every member mounts the declared
         batch-exact strategy); with ``model="individual"`` the same attack
         is mounted by each per-object member — the reference realisation
         the adversarial-cohort equivalence tests compare against.  A
-        ``cohorts=K`` split realises ``model="cohort"`` as K per-cohort
-        receiver objects and ``model="vector"`` as K rows of per-edge
-        columnar blocks (one vectorised receiver per edge router).
+        ``cohorts=K`` split realises ``model="cohort"`` as K one-row cohort
+        receivers and ``model="vector"`` as one cohort receiver per edge
+        router, carrying the rows placed there.
         """
         attacks = (cohort.attack,) if cohort.attack is not None else ()
         if cohort.model == "individual":
@@ -390,17 +380,44 @@ class Scenario:
                 session._adopt(receiver)
                 receiver.start(cohort.start_s)
             return
-        if cohort.model == "vector":
-            self._add_vector_block(session, spec, session_id, c_index, cohort, attacks)
-            return
         counts = split_counts(cohort.count, cohort.cohorts or 1)
-        for k, members in enumerate(counts):
+        placements: List[Tuple[str, Optional[str], List[int], str]]
+        if cohort.model == "vector":
+            # One receiver per edge router carries the rows dealt to it
+            # round-robin: object count scales with edges, not cohorts.
+            if cohort.router is not None:
+                edges: List[str] = [cohort.router]
+            else:
+                edges = list(self.network.spec.receiver_routers)
+            per_edge: Dict[str, List[int]] = {edge: [] for edge in edges}
+            for row, members in enumerate(counts):
+                per_edge[edges[row % len(edges)]].append(members)
+            placements = [
+                (
+                    f"{session_id}-vec{c_index + 1}-{e_index + 1}",
+                    edge,
+                    per_edge[edge],
+                    "vector",
+                )
+                for e_index, edge in enumerate(edges)
+                if per_edge[edge]
+            ]
+        else:
             # The single-cohort host keeps its historical name so legacy
             # scenarios stay byte-identical; split cohorts get a -k suffix.
-            suffix = "" if len(counts) == 1 else f"-{k + 1}"
-            host = self.network.add_receiver(
-                f"{session_id}-cohort{c_index + 1}{suffix}", router=cohort.router
-            )
+            placements = [
+                (
+                    f"{session_id}-cohort{c_index + 1}"
+                    + ("" if len(counts) == 1 else f"-{k + 1}"),
+                    cohort.router,
+                    [members],
+                    "cohort",
+                )
+                for k, members in enumerate(counts)
+            ]
+        for host_name, router, rows, kind in placements:
+            host = self.network.add_receiver(host_name, router=router)
+            name = f"{session_id}-{kind}-{host.name}"
             receiver: LayeredReceiverBase
             if attacks:
                 strategies = build_strategies(attacks, self.network, spec, host.name)
@@ -410,119 +427,31 @@ class Scenario:
                         host,
                         spec,
                         strategies,
-                        population=members,
+                        counts=rows,
                         key_bits=self.config.key_bits,
+                        name=name,
                     )
                 else:
                     receiver = AdversarialCohortFlidDlReceiver(
-                        self.network, host, spec, strategies, population=members
+                        self.network, host, spec, strategies, counts=rows, name=name
                     )
             elif self.protected:
                 receiver = CohortFlidDsReceiver(
                     self.network,
                     host,
                     spec,
-                    population=members,
+                    counts=rows,
                     key_bits=self.config.key_bits,
+                    name=name,
                 )
             else:
                 receiver = CohortFlidDlReceiver(
-                    self.network, host, spec, population=members
+                    self.network, host, spec, counts=rows, name=name
                 )
             if cohort.churn is not None:
                 receiver.attach_churn(cohort.churn)
             session._adopt(receiver, cohort=True, adversarial=bool(attacks))
             receiver.start(cohort.start_s)
-
-    def _add_vector_block(
-        self,
-        session: MulticastSession,
-        spec: SessionSpec,
-        session_id: str,
-        c_index: int,
-        cohort: CohortDecl,
-        attacks: Sequence[AttackSpec],
-    ) -> None:
-        """Realise one ``model="vector"`` block through the columnar engine.
-
-        The block's cohorts become rows of the scenario-level
-        :class:`~repro.multicast_cc.population.PopulationTable`, spread
-        round-robin across the receiver edge routers (or pinned to
-        ``cohort.router``); each edge with at least one row gets **one**
-        vectorised receiver — Python object count scales with edges, not
-        cohorts.
-        """
-        counts = split_counts(cohort.count, cohort.cohorts or 1)
-        if cohort.router is not None:
-            edges: List[str] = [cohort.router]
-        else:
-            edges = list(self.network.spec.receiver_routers)
-        per_edge: Dict[str, List[int]] = {edge: [] for edge in edges}
-        for row, members in enumerate(counts):
-            per_edge[edges[row % len(edges)]].append(members)
-        table = self._require_population_table()
-        for e_index, edge in enumerate(edges):
-            edge_counts = per_edge[edge]
-            if not edge_counts:
-                continue
-            host = self.network.add_receiver(
-                f"{session_id}-vec{c_index + 1}-{e_index + 1}", router=edge
-            )
-            receiver: LayeredReceiverBase
-            if attacks:
-                strategies = build_strategies(attacks, self.network, spec, host.name)
-                if self.protected:
-                    receiver = AdversarialVectorFlidDsReceiver(
-                        self.network,
-                        host,
-                        spec,
-                        strategies,
-                        counts=edge_counts,
-                        table=table,
-                        router=edge,
-                        key_bits=self.config.key_bits,
-                    )
-                else:
-                    receiver = AdversarialVectorFlidDlReceiver(
-                        self.network,
-                        host,
-                        spec,
-                        strategies,
-                        counts=edge_counts,
-                        table=table,
-                        router=edge,
-                    )
-            elif self.protected:
-                receiver = VectorFlidDsReceiver(
-                    self.network,
-                    host,
-                    spec,
-                    counts=edge_counts,
-                    table=table,
-                    router=edge,
-                    key_bits=self.config.key_bits,
-                )
-            else:
-                receiver = VectorFlidDlReceiver(
-                    self.network,
-                    host,
-                    spec,
-                    counts=edge_counts,
-                    table=table,
-                    router=edge,
-                )
-            session._adopt(receiver, cohort=True, adversarial=bool(attacks))
-            receiver.start(cohort.start_s)
-
-    def _require_population_table(self) -> PopulationTable:
-        """The scenario-level population table, created on first vector block.
-
-        Lazy so legacy scenarios never touch the columnar machinery (or the
-        backend selection) at all.
-        """
-        if self.population_table is None:
-            self.population_table = PopulationTable()
-        return self.population_table
 
     def _attacks_per_receiver(
         self,
@@ -672,8 +601,8 @@ class Scenario:
         """Serialise the complete live simulation state into one blob.
 
         Every piece of mutable state — the two event lanes, timer groups,
-        named RNG streams, population tables, SIGMA/IGMP agents, monitors
-        and receiver models — hangs off this object graph, and every
+        named RNG streams, SIGMA/IGMP agents, monitors and receiver models —
+        hangs off this object graph, and every
         scheduled callable is a named bound method, so a single pickle
         captures the full simulation.  Rebuild with :meth:`restore`.
         """

@@ -1,6 +1,6 @@
 """Region-sharded execution: planner, region workers and deterministic merge.
 
-The columnar population engine (PR 6) takes one session to a million
+The ``model="vector"`` population blocks take one session to a million
 receivers on a single CPU; this module is the other half of the scale story
 — *hierarchical aggregation* in the sense of the "Scalable Internetworking"
 report: partition an annotated topology into regions cut at designated
@@ -126,8 +126,8 @@ def plan_shards(spec: ScenarioSpec) -> ShardPlan:
     must annotate exactly ``N`` regions with region-contiguous receiver edge
     routers, sessions must realise their whole population as blocks
     (``receivers=0``; the individual-receiver path uses a topology-global
-    placement cursor), every round-robin block must use the columnar
-    ``model="vector"`` engine, and globally-coupled features (TCP/CBR cross
+    placement cursor), every round-robin block must use the per-edge
+    ``model="vector"`` realisation, and globally-coupled features (TCP/CBR cross
     traffic, overhead tracking, series recording) are rejected.
     """
     if spec.shards is None:

@@ -44,17 +44,15 @@ class CohortDecl:
     * ``"individual"`` — ``count`` ordinary per-object receivers, the
       reference realisation the equivalence tests and the scale benchmark
       compare against;
-    * ``"vector"`` — the columnar engine
-      (:mod:`~repro.multicast_cc.vector`): the block's cohorts become rows
-      of a :class:`~repro.multicast_cc.population.PopulationTable` block,
-      one vectorised receiver per edge router instead of one object per
-      cohort (sessions scale past 1M receivers).
+    * ``"vector"`` — the same aggregated receiver, one per edge router:
+      the block's cohorts become member rows of the receiver at their edge
+      instead of one object per cohort (sessions scale past 1M receivers).
 
     ``cohorts`` splits the block's ``count`` members into that many
     homogeneous cohorts (as even as possible; ``None`` means one).  With
-    ``model="cohort"`` each becomes its own per-cohort receiver object —
-    the reference path the columnar benchmark measures against — while
-    ``model="vector"`` packs them as rows of per-edge columnar blocks.
+    ``model="cohort"`` each becomes its own one-row receiver object — the
+    reference path the scale benchmark measures against — while
+    ``model="vector"`` packs them as rows of per-edge receivers.
 
     ``router`` optionally pins the cohort to a named edge router (default:
     the topology's round-robin receiver placement — for ``"vector"`` the
@@ -100,7 +98,7 @@ class CohortDecl:
                     "receivers are already one object per member"
                 )
         # Every declarable strategy batches exactly over a cohort: AttackSpec
-        # itself rejects registered strategies without batched decision rules
+        # itself rejects registered strategies without decision rules
         # (BATCHED_DECISION_RULES), so no per-model gate is needed here.
         if self.churn is not None and (
             self.model != "cohort" or (self.cohorts or 1) != 1

@@ -16,7 +16,7 @@ attack schedule starts.  This module amortises that prefix across cells.
   cells are never prefix-shared.
 * :class:`CheckpointStore` — content-addressed pickle blobs next to the
   runner's result cache (``ck_<sha256>.pkl``), published atomically via a
-  pid-suffixed tmp sibling + :func:`os.replace`; torn, corrupt or
+  uniquely named tmp sibling + :func:`os.replace`; torn, corrupt or
   version-mismatched blobs read as misses, never as state.
 * :func:`run_checkpoint_json` / :func:`run_warm_json` — module-level worker
   entry points (string-typed, pool-picklable) mirroring
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -48,7 +47,6 @@ from typing import Any, Dict, List, Optional
 
 from ..adversary.spec import AttackSpec
 from ..multicast_cc.churn import ChurnProcess
-from ..multicast_cc.population import active_backend
 from .scenario import CHECKPOINT_VERSION, Scenario
 from .spec import CohortDecl, ScenarioSpec, SessionDecl
 
@@ -125,16 +123,15 @@ class PrefixPlan:
         """Content address of this prefix's checkpoint blob.
 
         Mixes the runner cache's version tag (package + schema versions),
-        the checkpoint layout version, the active population backend (the
-        pickled column types differ across backends) and the barrier into
-        the hash, on top of the canonical prefix JSON — so a blob is only
-        ever restored by the same code, backend and barrier that wrote it.
+        the checkpoint layout version and the barrier into the hash, on top
+        of the canonical prefix JSON — so a blob is only ever restored by
+        the same code layout and barrier that wrote it.
         """
         from .runner import _cache_version_tag
 
         material = (
             f"{_cache_version_tag()}warmstart:{CHECKPOINT_VERSION}:"
-            f"{active_backend()}:{self.barrier_s!r}:{self.spec.to_json()}"
+            f"{self.barrier_s!r}:{self.spec.to_json()}"
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
@@ -182,7 +179,7 @@ class CheckpointStore:
 
     Blob files are named ``ck_<key>.pkl`` so they live alongside the
     runner's ``<key>.json`` result entries without colliding.  Publication
-    is atomic (pid-suffixed tmp + :func:`os.replace`) and every read
+    is atomic (:func:`~repro.experiments.runner.atomic_write`) and every read
     validates the checkpoint version — a torn or stale blob is a miss.
     """
 
@@ -212,18 +209,9 @@ class CheckpointStore:
 
     def save(self, key: str, scenario: Scenario) -> None:
         """Atomically publish ``scenario``'s checkpoint under ``key``."""
-        path = self.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_bytes(scenario.checkpoint())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        from .runner import atomic_write
+
+        atomic_write(self.path(key), scenario.checkpoint())
 
 
 def _build_prefix(

@@ -1,86 +1,64 @@
-"""Cohort-aggregated receivers: N homogeneous receivers as one state block.
+"""Aggregated receivers: many homogeneous receivers as one receiver object.
 
 The paper's robustness and overhead results are *scaling* claims — a few
 attackers against sessions with very large honest audiences.  Instantiating
 every honest receiver as a full object graph (host + IGMP state + FLID
 receiver + SIGMA key table traffic) caps sessions at a few dozen receivers;
-these classes instead represent ``N`` homogeneous honest receivers behind one
-edge router as a single *cohort*:
+these classes instead represent every homogeneous member behind one edge
+interface as one receiver object:
 
 * one :class:`~repro.simulator.node.Host` (with ``population = N``) carries
-  the whole cohort, so multicast fan-out and the bottleneck dynamics cost
+  all members, so multicast fan-out and the bottleneck dynamics cost
   O(edge interfaces) — exactly what they cost with one receiver;
-* subscription state lives in a columnar block of ``(count, level)`` rows
-  (array-of-struct tuples), advanced once per slot through the batched pure
-  decision functions of :mod:`~repro.multicast_cc.decision`;
+* the members are held as cohort *rows* — a list of member counts — that
+  all sit at the receiver's single subscription level, so each slot runs the
+  scalar rules of :mod:`~repro.multicast_cc.decision` (one ``decide_dl``, or
+  one DELTA reconstruction) once for every member;
 * SIGMA traffic is amortised: one session-join / subscription message per
   slot carries ``member_count = N``, the edge router verifies each key once
   and books the delivery for the population.
 
+``model="cohort"`` realises one such receiver per cohort row;
+``model="vector"`` realises one per edge router, carrying every row placed
+there.
+
 **Exactness.**  Aggregation is *exact* — byte-identical subscription
 trajectories and key-delivery counts versus ``N`` individual receivers —
-when the cohort is homogeneous: honest receivers, same edge router, same
-start time, and access links that never drop (true in the paper's §5.1
-topologies, where the 10 Mbps access links exceed the maximal 3.84 Mbps
-session rate and sit downstream of the shared bottleneck).  All per-member divergence sources (attacks, staggered joins,
-per-receiver placement) must stay individual objects, which is precisely the
-paper's threat model: a handful of misbehaving receivers attacking *into* a
-large honest population.  ``tests/experiments/test_cohort_equivalence.py``
-asserts the exactness for small N; ``docs/scale.md`` discusses the limits.
+when the members are homogeneous: same behaviour (honest, or one attack
+stack), same edge router, same start time, and access links that never drop
+(true in the paper's §5.1 topologies, where the 10 Mbps access links exceed
+the maximal 3.84 Mbps session rate and sit downstream of the shared
+bottleneck).  Homogeneous members observe the same slots, so the
+deterministic rules keep them at one level forever; every per-member
+divergence source (staggered joins, per-receiver placement) must stay an
+individual object.  ``tests/experiments/test_cohort_equivalence.py`` and
+``tests/experiments/test_vector_equivalence.py`` assert the exactness for
+small N; ``docs/scale.md`` discusses the limits.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.sigma import SigmaHostInterface
+from ..simulator.address import GroupAddress
 from ..simulator.node import Host
 from ..simulator.topology import Network
 from .churn import ChurnProcess
-from .decision import decide_dl_batch, merge_rows, reconstruct_ds_batch
 from .flid_dl import FlidDlReceiver
 from .flid_ds import FlidDsReceiver
-from .receiver_base import SlotRecord
 from .session import SessionSpec
 
 __all__ = ["CohortFlidDlReceiver", "CohortFlidDsReceiver"]
 
 
-def _init_cohort(receiver, host: Host, population: int) -> None:
-    """Shared cohort initialisation: population wiring + columnar state."""
-    if population < 1:
-        raise ValueError("a cohort needs at least one receiver")
-    receiver.population = population
-    # The host stands for the whole cohort: membership counting, IGMP/SIGMA
-    # counters and overhead accounting weight it as N end systems.
-    host.population = population
-    receiver._rows = [(population, 0)]
+class _CohortSupport:
+    """Member rows and population churn shared by both cohort receivers.
 
-
-def _require_single_row(rows) -> None:
-    """Enforce the homogeneity invariant before enacting a decision.
-
-    Both cohort receivers drive one shared IGMP/SIGMA interface, which can
-    only represent one membership set; a state block that split into several
-    levels could no longer be enacted faithfully.  Homogeneous cohorts never
-    split (the equivalence tests assert it), so a split here is a bug — fail
-    loudly rather than silently drop the extra rows' membership changes.
-    """
-    if len(rows) != 1:
-        raise RuntimeError(
-            f"cohort state block split into {len(rows)} rows ({rows!r}); "
-            "heterogeneous members must be separate cohorts or individuals"
-        )
-
-
-class _CohortChurnSupport:
-    """Population churn shared by both cohort receivers.
-
-    A :class:`~repro.multicast_cc.churn.ChurnProcess` attached to a cohort is
-    sampled at every slot-evaluation wakeup (deterministically, before the
-    due slots are evaluated): the membership delta is booked through
-    member-weighted IGMP/SIGMA messages and the cohort's population —
+    A :class:`~repro.multicast_cc.churn.ChurnProcess` attached to a one-row
+    cohort is sampled at every slot-evaluation wakeup (deterministically,
+    before the due slots are evaluated): the membership delta is booked
+    through member-weighted IGMP/SIGMA messages and the cohort's population —
     including the host weight every counter derives from — is updated before
     any message of the new slot is sent.  Arrivals adopt the cohort's
     current subscription level (flash-crowd members inherit the steady-state
@@ -90,8 +68,36 @@ class _CohortChurnSupport:
     _churn: Optional[ChurnProcess] = None
     _churn_initial: int = 0
 
+    def _init_cohort(self, host: Host, counts: Sequence[int]) -> None:
+        counts = [int(count) for count in counts]
+        if not counts or min(counts) < 1:
+            raise ValueError("a cohort needs at least one row of at least one receiver")
+        self._counts = counts
+        self.population = sum(counts)
+        # The host stands for every member: membership counting, IGMP/SIGMA
+        # counters and overhead accounting weight it as N end systems.
+        host.population = self.population
+
+    def state_rows(self) -> List[Tuple[int, int]]:
+        """The ``(member count, level)`` row of every cohort carried.
+
+        The rows share one IGMP/SIGMA interface, which can only hold one
+        membership set, so every row sits at the receiver's level.
+        """
+        return [(count, self.level) for count in self._counts]
+
     def attach_churn(self, process: ChurnProcess) -> None:
-        """Drive this cohort's population by ``process`` (call before start)."""
+        """Drive this cohort's population by ``process`` (call before start).
+
+        Churn grows or shrinks one cohort; a receiver carrying several rows
+        has no single row to resize.
+        """
+        if len(self._counts) != 1:
+            raise ValueError(
+                f"a receiver carrying {len(self._counts)} cohort rows cannot "
+                "churn; declare the churned audience as its own single-cohort "
+                "block"
+            )
         self._churn = process
         self._churn_initial = self.population
 
@@ -118,7 +124,7 @@ class _CohortChurnSupport:
         """Adopt the new population everywhere counters weigh it."""
         self.population = population
         self.host.population = population
-        self._rows = [(population, level) for _count, level in self._rows]
+        self._counts = [population]
 
     # hooks implemented per protocol variant -----------------------------
     def _book_arrivals(self, members: int) -> None:  # pragma: no cover - interface
@@ -128,13 +134,13 @@ class _CohortChurnSupport:
         raise NotImplementedError
 
 
-class CohortFlidDlReceiver(_CohortChurnSupport, FlidDlReceiver):
-    """FLID-DL receiver aggregating ``population`` honest members.
+class CohortFlidDlReceiver(_CohortSupport, FlidDlReceiver):
+    """FLID-DL receiver aggregating the members of ``counts`` cohort rows.
 
     Behaviour is the single receiver's (the cohort host receives one copy of
-    every packet an individual receiver would), but each slot's subscription
-    decision runs through the *batched* rule over the cohort's ``(count,
-    level)`` rows, and all membership signalling represents the population.
+    every packet an individual receiver would, and the scalar FLID-DL rule
+    runs once per slot), but all membership signalling represents the
+    population.
     """
 
     def __init__(
@@ -142,7 +148,7 @@ class CohortFlidDlReceiver(_CohortChurnSupport, FlidDlReceiver):
         network: Network,
         host: Host,
         spec: SessionSpec,
-        population: int,
+        counts: Sequence[int],
         bin_width_s: float = 1.0,
         name: str = "",
     ) -> None:
@@ -153,16 +159,7 @@ class CohortFlidDlReceiver(_CohortChurnSupport, FlidDlReceiver):
             bin_width_s=bin_width_s,
             name=name or f"{spec.session_id}-cohort-{host.name}",
         )
-        _init_cohort(self, host, population)
-
-    # ------------------------------------------------------------------
-    def state_rows(self) -> List[Tuple[int, int]]:
-        """The columnar ``(count, level)`` state block (copy)."""
-        return list(self._rows)
-
-    def _bootstrap(self) -> None:
-        super()._bootstrap()
-        self._rows = [(self.population, self.level)]
+        self._init_cohort(host, counts)
 
     # ------------------------------------------------------------------
     # churn accounting (unprotected variant: weighted IGMP churn reports)
@@ -181,30 +178,15 @@ class CohortFlidDlReceiver(_CohortChurnSupport, FlidDlReceiver):
         for group in range(1, self.level + 1):
             self.igmp.leave(self.spec.address_of(group), members=members)
 
-    def _apply_decision(self, evaluated_slot: int, record: SlotRecord, congested: bool) -> None:
-        """Advance every row through the batched FLID-DL rule, then enact.
 
-        A homogeneous cohort is a single row, so the shared IGMP interface
-        enacts exactly the membership change each member would have made.
-        """
-        if self.igmp is None:
-            return
-        outcomes = decide_dl_batch(
-            self._rows, congested, record.upgrade_groups, self.spec.group_count
-        )
-        self._rows = merge_rows([(count, d.next_level) for count, d in outcomes])
-        _require_single_row(self._rows)
-        self._enact(evaluated_slot, outcomes[0][1])
+class CohortFlidDsReceiver(_CohortSupport, FlidDsReceiver):
+    """FLID-DS receiver aggregating the members of ``counts`` cohort rows.
 
-
-class CohortFlidDsReceiver(_CohortChurnSupport, FlidDsReceiver):
-    """FLID-DS receiver aggregating ``population`` honest members.
-
-    DELTA key reconstruction runs once per distinct subscription level of the
-    cohort's state block, and the resulting (group, key) pairs go to the edge
-    router in one subscription message stamped ``member_count = population``
-    — the router verifies each key once and counts a delivery per member, so
-    SIGMA's key-table work is O(edge interfaces) rather than O(receivers).
+    DELTA key reconstruction runs once per slot for every member, and the
+    resulting (group, key) pairs go to the edge router in one subscription
+    message stamped ``member_count = population`` — the router verifies each
+    key once and counts a delivery per member, so SIGMA's key-table work is
+    O(edge interfaces) rather than O(receivers).
     """
 
     def __init__(
@@ -212,7 +194,7 @@ class CohortFlidDsReceiver(_CohortChurnSupport, FlidDsReceiver):
         network: Network,
         host: Host,
         spec: SessionSpec,
-        population: int,
+        counts: Sequence[int],
         key_bits: int = 16,
         bin_width_s: float = 1.0,
         name: str = "",
@@ -225,17 +207,13 @@ class CohortFlidDsReceiver(_CohortChurnSupport, FlidDsReceiver):
             bin_width_s=bin_width_s,
             name=name or f"{spec.session_id}-cohort-{host.name}",
         )
-        _init_cohort(self, host, population)
+        self._init_cohort(host, counts)
         #: Population-weighted count of keys *submitted* on behalf of members
         #: (each submitted pair speaks for every member of the cohort; the
         #: edge router's ``valid_submissions`` counts the accepted subset).
         self.member_keys_submitted = 0
 
     # ------------------------------------------------------------------
-    def state_rows(self) -> List[Tuple[int, int]]:
-        """The columnar ``(count, level)`` state block (copy)."""
-        return list(self._rows)
-
     def _make_sigma_interface(self) -> SigmaHostInterface:
         return SigmaHostInterface(
             self.host,
@@ -244,9 +222,9 @@ class CohortFlidDsReceiver(_CohortChurnSupport, FlidDsReceiver):
             member_count=self.population,
         )
 
-    def _join_session(self) -> None:
-        super()._join_session()
-        self._rows = [(self.population, 1)]
+    def _subscribe(self, governed_slot: int, pairs: List[Tuple[GroupAddress, int]]) -> None:
+        super()._subscribe(governed_slot, pairs)
+        self.member_keys_submitted += self.population * len(pairs)
 
     # ------------------------------------------------------------------
     # churn accounting (protected variant: member-weighted SIGMA messages)
@@ -267,53 +245,3 @@ class CohortFlidDsReceiver(_CohortChurnSupport, FlidDsReceiver):
         """Departures are silent under SIGMA — exactly like an individual
         receiver that stops submitting keys: they vanish from the member
         counts of subsequent messages instead of sending a farewell."""
-
-    # ------------------------------------------------------------------
-    def _apply_decision(self, evaluated_slot: int, record: SlotRecord, congested: bool) -> None:
-        """The scalar FLID-DS slot pipeline, amortised over the cohort rows."""
-        if self.sigma is None:
-            return
-        entitled = self.entitled_level(evaluated_slot)
-        governed_slot = evaluated_slot + 2
-
-        if entitled == 0:
-            self._rejoin(governed_slot)
-            self._rows = [(self.population, 1)]
-            return
-
-        observation = self._build_observation(record, entitled, congested)
-
-        def reconstruct_for(level: int):
-            if level == entitled:
-                return self.delta.reconstruct(observation)
-            return self.delta.reconstruct(
-                dataclasses.replace(observation, subscription_level=level)
-            )
-
-        # The entitlement schedule is shared by the whole (homogeneous)
-        # cohort, so every row observes the same entitled level this slot.
-        rows = merge_rows([(count, entitled) for count, _ in self._rows])
-        _require_single_row(rows)
-        outcomes = reconstruct_ds_batch(rows, reconstruct_for)
-        result = outcomes[0][1]
-        self._on_keys_reconstructed(governed_slot, result.keys)
-
-        if result.keys:
-            pairs = [
-                (self.spec.address_of(group), key)
-                for group, key in result.submitted_pairs()
-            ]
-            self.sigma.subscribe(governed_slot, pairs)
-            self.subscriptions_sent += 1
-            self.member_keys_submitted += self.population * len(pairs)
-
-        if congested and result.next_level < entitled:
-            self._enter_deaf_period(governed_slot + 1)
-
-        self._schedule_level(governed_slot, result.next_level)
-        self._set_level(result.next_level)
-        self._rows = merge_rows([(count, r.next_level) for count, r in outcomes])
-
-        if result.next_level == 0:
-            self._rejoin(governed_slot)
-            self._rows = [(self.population, 1)]

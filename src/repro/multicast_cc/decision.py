@@ -1,79 +1,41 @@
-"""Pure FLID subscription-decision functions, scalar and batched.
+"""Pure FLID subscription-decision functions.
 
-The per-slot subscription logic of both protocol variants is a *pure*
-function of what the receiver observed during the slot — no simulator state,
-no I/O.  Historically that logic lived inline in the receiver classes; this
-module extracts it so that the two receiver models share one implementation:
+The per-slot subscription logic of both protocol variants, and the per-slot
+action of every attack strategy, is a *pure* function of what the receiver
+observed during the slot — no simulator state, no I/O.  Every receiver model
+applies the same scalar rule once per receiver object per slot:
 
 * the per-object receivers (:class:`~repro.multicast_cc.flid_dl.FlidDlReceiver`,
-  :class:`~repro.multicast_cc.flid_ds.FlidDsReceiver`) apply the **scalar**
-  form once per receiver per slot;
-* the aggregated :mod:`~repro.multicast_cc.cohort` receivers apply the
-  **batched** form over a columnar state block of ``(count, level)`` rows,
-  evaluating each *distinct* subscription level once and sharing the outcome
-  across every receiver in the row — per-slot cost O(distinct levels), not
-  O(receivers);
-* the vectorised receivers (:mod:`~repro.multicast_cc.vector`) apply the
-  **array** form (``decide_*_array``) over whole level *columns* of a
-  :class:`~repro.multicast_cc.population.PopulationBlock` — one pass per
-  slot across thousands of cohort rows.  The array functions accept either
-  a numpy ``int64`` array (vectorised numpy path) or any plain integer
-  sequence (per-distinct-level stdlib path) and return the same flavour
-  they were given, so numpy stays optional.
+  :class:`~repro.multicast_cc.flid_ds.FlidDsReceiver`) — the paper reference;
+* the aggregated :mod:`~repro.multicast_cc.cohort` receivers, whose member
+  rows all sit at one subscription level, so one evaluation speaks for every
+  member — per-slot cost O(receiver objects), not O(members).
 
-The batched and array functions are defined to be exactly the scalar
-function mapped over rows (the Hypothesis properties and the exhaustive
-Commuter-style enumerations in ``tests/multicast_cc/test_decision.py``
-assert this), so aggregation can never change a trajectory — only amortise
-its cost.
+The exhaustive small-model harness (``tests/properties/exhaustive.py``)
+checks every rule against an independent reference implementation, and the
+cohort equivalence tests check that aggregation never changes a trajectory.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-from ..core.delta.base import ReconstructionResult
-
-try:  # numpy accelerates the array forms but is never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback backend
-    _np = None
+from typing import Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "DlDecision",
     "ChurnAction",
     "decide_dl",
-    "decide_dl_batch",
-    "decide_dl_array",
-    "reconstruct_ds_batch",
-    "merge_rows",
     "attack_target_level",
     "attack_rate",
     "forbidden_groups",
-    "forbidden_count_array",
-    "decide_inflated_join",
-    "decide_inflated_join_batch",
-    "decide_inflated_join_array",
     "mask_congestion",
     "churn_phase",
-    "churn_phase_array",
     "decide_churn",
-    "decide_churn_batch",
-    "decide_churn_array",
     "replay_volley",
-    "replay_volley_batch",
     "guess_volley",
-    "guess_volley_batch",
     "decide_join_storm",
-    "decide_join_storm_batch",
     "collusion_volley",
-    "collusion_volley_batch",
 ]
-
-#: One columnar row of a cohort state block: ``(receiver count, level)``.
-Row = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -117,121 +79,8 @@ def decide_dl(
     return DlDecision(next_level=level)
 
 
-def decide_dl_batch(
-    rows: Sequence[Row],
-    congested: bool,
-    upgrade_authorized: Sequence[int],
-    group_count: int,
-) -> List[Tuple[int, DlDecision]]:
-    """Batched FLID-DL decision over ``(count, level)`` rows.
-
-    Every distinct level is decided once via :func:`decide_dl` and the
-    outcome shared by the row's whole count — equal to, but cheaper than,
-    mapping the scalar function over ``count`` individual receivers.
-    """
-    cache: Dict[int, DlDecision] = {}
-    out: List[Tuple[int, DlDecision]] = []
-    for count, level in rows:
-        decision = cache.get(level)
-        if decision is None:
-            decision = decide_dl(level, congested, upgrade_authorized, group_count)
-            cache[level] = decision
-        out.append((count, decision))
-    return out
-
-
-def _like(levels: Sequence[int], values: List[int]):
-    """Return ``values`` in the flavour of the ``levels`` input column.
-
-    numpy array in → numpy ``int64`` array out; :class:`array.array` in →
-    same-typecode array out; any other sequence → plain list.  Keeping the
-    flavour stable lets a :class:`~repro.multicast_cc.population`
-    block assign the result straight back into its column.
-    """
-    if _np is not None and isinstance(levels, _np.ndarray):
-        return _np.asarray(values, dtype=_np.int64)
-    if isinstance(levels, array):
-        return array(levels.typecode, values)
-    return values
-
-
-def decide_dl_array(
-    levels: Sequence[int],
-    congested: bool,
-    upgrade_authorized: Sequence[int],
-    group_count: int,
-) -> Sequence[int]:
-    """Array-form FLID-DL rule: a whole level column in one pass.
-
-    Semantically ``[decide_dl(level, ...).next_level for level in levels]``
-    — the membership *side effects* of the scalar decision are the caller's
-    to enact from the before/after levels (a uniform block changes as one).
-    numpy input takes the vectorised path; any other integer sequence takes
-    the per-distinct-level stdlib path.  The result has the input's flavour.
-    """
-    if _np is not None and isinstance(levels, _np.ndarray):
-        if congested:
-            return _np.where(levels > 1, levels - 1, levels)
-        targets = levels + 1
-        authorized = _np.fromiter(
-            sorted(upgrade_authorized), dtype=_np.int64, count=len(upgrade_authorized)
-        )
-        eligible = (targets <= group_count) & _np.isin(targets, authorized)
-        return _np.where(eligible, targets, levels)
-    cache: Dict[int, int] = {}
-    out: List[int] = []
-    for level in levels:
-        level = int(level)
-        next_level = cache.get(level)
-        if next_level is None:
-            next_level = decide_dl(
-                level, congested, upgrade_authorized, group_count
-            ).next_level
-            cache[level] = next_level
-        out.append(next_level)
-    return _like(levels, out)
-
-
-def decide_inflated_join_array(
-    levels: Sequence[int], target_level: int
-) -> Sequence[int]:
-    """Array-form frozen-subscription rule: pin every row at the target.
-
-    Semantically ``[decide_inflated_join(level, target).next_level ...]``;
-    since the scalar rule ignores the current level entirely, the array form
-    is a constant column in the input's flavour.
-    """
-    if _np is not None and isinstance(levels, _np.ndarray):
-        return _np.full_like(levels, target_level)
-    return _like(levels, [target_level] * len(levels))
-
-
-def reconstruct_ds_batch(
-    rows: Sequence[Row],
-    reconstruct: Callable[[int], ReconstructionResult],
-) -> List[Tuple[int, ReconstructionResult]]:
-    """Batched FLID-DS key reconstruction over ``(count, level)`` rows.
-
-    ``reconstruct(level)`` is the scalar DELTA reconstruction for one
-    receiver entitled to ``level`` (see
-    :meth:`~repro.core.delta.layered.LayeredDeltaReceiver.reconstruct`); it
-    is invoked once per distinct level and its result — keys and next level —
-    is shared across the row, amortising the XOR folds and key submissions
-    over the cohort.
-    """
-    cache: Dict[int, ReconstructionResult] = {}
-    out: List[Tuple[int, ReconstructionResult]] = []
-    for count, level in rows:
-        result = cache.get(level)
-        if result is None:
-            result = reconstruct(level)
-            cache[level] = result
-        out.append((count, result))
-    return out
-
-
 # ----------------------------------------------------------------------
-# attack decisions (pure forms of the batch-exact adversary strategies)
+# attack decisions (the pure per-slot actions of the adversary strategies)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ChurnAction:
@@ -255,29 +104,6 @@ def attack_target_level(intensity: float, group_count: int) -> int:
     """
     target = round(intensity * group_count)
     return max(1, min(group_count, target))
-
-
-def decide_inflated_join(level: int, target_level: int) -> DlDecision:
-    """The frozen-subscription rule of the inflated-join attack (§2.1).
-
-    Whatever the congestion state, the attacker pins its subscription at the
-    inflated target — it never decreases and never needs an authorisation to
-    sit at ``target_level``.  Pure counterpart of
-    :class:`~repro.adversary.strategies.InflatedJoinStrategy`'s suppression.
-    """
-    return DlDecision(next_level=target_level)
-
-
-def decide_inflated_join_batch(
-    rows: Sequence[Row], target_level: int
-) -> List[Tuple[int, DlDecision]]:
-    """Batched inflated-join decision over ``(count, level)`` rows.
-
-    Defined as :func:`decide_inflated_join` mapped over rows (evaluated once
-    per distinct level), so an adversarial cohort of N attackers pins its
-    state block exactly as N individual attackers would.
-    """
-    return _batch_rows(rows, lambda level: decide_inflated_join(level, target_level))
 
 
 def mask_congestion(congested: bool, mode: str = "mask") -> bool:
@@ -331,77 +157,6 @@ def decide_churn(
     return ChurnAction()
 
 
-def churn_phase_array(
-    elapsed_s: Sequence[float], period_s: float, duty: float
-) -> Sequence[bool]:
-    """Array-form churn phase: one cycle evaluation over an elapsed column.
-
-    Semantically ``[churn_phase(e, period_s, duty) for e in elapsed_s]``;
-    numpy input returns a boolean array, any other sequence a list of bools.
-    """
-    if _np is not None and isinstance(elapsed_s, _np.ndarray):
-        period = max(1e-3, period_s)
-        clamped = min(1.0, max(0.0, duty))
-        return (elapsed_s % period) < clamped * period
-    return [churn_phase(float(value), period_s, duty) for value in elapsed_s]
-
-
-def decide_churn_array(
-    phase_high: Sequence[int],
-    was_high: Sequence[int],
-    entitled_level: int,
-    group_count: int,
-    joined: Sequence[int] = (),
-) -> List[ChurnAction]:
-    """Array-form churn rule over parallel phase/previous-phase columns.
-
-    Semantically ``[decide_churn(p, w, ...) for p, w in zip(...)]``.  The
-    action is a structured object (group tuples), so both backends return a
-    list — but each distinct ``(phase, was)`` pair (at most four) is decided
-    once and shared, keeping the pass O(1) in the row count's constant.
-    """
-    if len(phase_high) != len(was_high):
-        raise ValueError(
-            f"phase columns disagree: {len(phase_high)} vs {len(was_high)} rows"
-        )
-    cache: Dict[Tuple[bool, bool], ChurnAction] = {}
-    out: List[ChurnAction] = []
-    for phase, was in zip(phase_high, was_high):
-        key = (bool(phase), bool(was))
-        action = cache.get(key)
-        if action is None:
-            action = decide_churn(key[0], key[1], entitled_level, group_count, joined)
-            cache[key] = action
-        out.append(action)
-    return out
-
-
-def decide_churn_batch(
-    rows: Sequence[Row],
-    phase_high: bool,
-    was_high: bool,
-    entitled_level: int,
-    group_count: int,
-    joined: Sequence[int] = (),
-) -> List[Tuple[int, ChurnAction]]:
-    """Batched churn decision over ``(count, level)`` rows.
-
-    The phase schedule is a pure function of time shared by every member of
-    a homogeneous attacker cohort, so each distinct level maps to the same
-    :func:`decide_churn` action — evaluated once and shared across the row.
-    A homogeneous cohort is a single row, which is why the live
-    :class:`~repro.adversary.strategies.ChurnStrategy` calls the scalar
-    form exactly once per slot; this batched form is the general contract
-    the Hypothesis properties pin to the scalar map.
-    """
-    return _batch_rows(
-        rows,
-        lambda _level: decide_churn(
-            phase_high, was_high, entitled_level, group_count, joined
-        ),
-    )
-
-
 def attack_rate(per_slot: float, intensity: float) -> int:
     """Per-slot action count of a rate-scaled attack knob.
 
@@ -421,21 +176,6 @@ def forbidden_groups(entitled_level: int, group_count: int) -> Tuple[int, ...]:
     group_count``.  Fully entitled receivers have no forbidden groups.
     """
     return tuple(range(entitled_level + 1, group_count + 1))
-
-
-def forbidden_count_array(
-    levels: Sequence[int], group_count: int
-) -> Sequence[int]:
-    """Array-form forbidden-group count over an entitlement column.
-
-    Semantically ``[len(forbidden_groups(level, group_count)) for level in
-    levels]`` — the per-row attempt weight of a key-oriented attack over a
-    columnar block, clamped at zero for fully (or over-) entitled rows.
-    The result has the input column's flavour.
-    """
-    if _np is not None and isinstance(levels, _np.ndarray):
-        return _np.clip(group_count - levels, 0, None)
-    return _like(levels, [max(0, group_count - int(level)) for level in levels])
 
 
 def replay_volley(
@@ -461,25 +201,6 @@ def replay_volley(
     )
 
 
-def replay_volley_batch(
-    rows: Sequence[Row],
-    candidates: Sequence[int],
-    group_count: int,
-    per_group: int,
-) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
-    """Batched key-replay volley over ``(count, entitled level)`` rows.
-
-    Defined as :func:`replay_volley` mapped over rows (evaluated once per
-    distinct entitlement), so a replaying cohort of N attackers submits the
-    same pairs — booked at N members' weight — as N individuals sharing the
-    same stash would.
-    """
-    return _batch_rows(
-        rows,
-        lambda level: replay_volley(candidates, level, group_count, per_group),
-    )
-
-
 def guess_volley(
     entitled_level: int,
     group_count: int,
@@ -488,13 +209,12 @@ def guess_volley(
 ) -> Tuple[Tuple[int, int], ...]:
     """The (group, key) submissions of one key-guessing slot (§4.2).
 
-    ``draws`` is the slot's random-key budget, drawn *once per cohort* from
-    the strategy's seeded stream and consumed positionally: draw ``i`` is
-    submitted for forbidden group ``i // guesses`` — exactly the
-    group-major order the per-object strategy draws in, so an individual
-    receiver's byte trace is unchanged.  Raises when the budget can't cover
-    ``guesses`` per forbidden group; surplus draws are ignored (a batched
-    caller sizes the budget for its deepest row).
+    ``draws`` is the slot's random-key budget, drawn *once per receiver
+    object* (so once per cohort) from the strategy's seeded stream and
+    consumed positionally: draw ``i`` is submitted for forbidden group
+    ``i // guesses`` — the group-major order the strategy draws in.  Raises
+    when the budget can't cover ``guesses`` per forbidden group; surplus
+    draws are ignored.
     """
     targets = forbidden_groups(entitled_level, group_count)
     needed = len(targets) * guesses
@@ -508,24 +228,6 @@ def guess_volley(
     )
 
 
-def guess_volley_batch(
-    rows: Sequence[Row],
-    group_count: int,
-    guesses: int,
-    draws: Sequence[int],
-) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
-    """Batched key-guessing volley over ``(count, entitled level)`` rows.
-
-    Defined as :func:`guess_volley` mapped over rows with the *same* shared
-    draw budget (evaluated once per distinct entitlement) — the per-cohort
-    randomness model: one seeded draw sequence per slot covers the whole
-    cohort, counts are booked per member.
-    """
-    return _batch_rows(
-        rows, lambda level: guess_volley(level, group_count, guesses, draws)
-    )
-
-
 def decide_join_storm(bursts: int, group_count: int) -> Tuple[int, ...]:
     """The IGMP join sequence of one join-storm slot.
 
@@ -534,18 +236,6 @@ def decide_join_storm(bursts: int, group_count: int) -> Tuple[int, ...]:
     and randomness-free; a SIGMA edge ignores every report.
     """
     return tuple(range(1, group_count + 1)) * bursts
-
-
-def decide_join_storm_batch(
-    rows: Sequence[Row], bursts: int, group_count: int
-) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Batched join-storm sequence over ``(count, level)`` rows.
-
-    The storm ignores subscription state entirely, so every row maps to the
-    same :func:`decide_join_storm` sweep — evaluated once and shared, with
-    each row's joins booked at its member count.
-    """
-    return _batch_rows(rows, lambda _level: decide_join_storm(bursts, group_count))
 
 
 def collusion_volley(
@@ -565,57 +255,3 @@ def collusion_volley(
         for group in forbidden_groups(entitled_level, group_count)
         if group in pooled
     )
-
-
-def collusion_volley_batch(
-    rows: Sequence[Row],
-    pooled: Mapping[int, int],
-    group_count: int,
-) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
-    """Batched collusion volley over ``(count, entitled level)`` rows.
-
-    Defined as :func:`collusion_volley` mapped over rows (evaluated once per
-    distinct entitlement) against one shared pool snapshot, so a colluding
-    cohort of N members submits — and books, member-weighted — exactly what
-    N individual colluders reading the same pool would.
-    """
-    return _batch_rows(
-        rows, lambda level: collusion_volley(pooled, level, group_count)
-    )
-
-
-def _batch_rows(rows: Sequence[Row], decide: Callable[[int], Any]) -> List[Tuple[int, Any]]:
-    """Map a per-level decision over rows, evaluating each level once.
-
-    Ordering guarantee: the output preserves the input row order exactly
-    (row *i* of the result pairs row *i* of the input with its decision);
-    ``decide`` is invoked in first-appearance order of the distinct levels.
-    Downstream booking code relies on this — enactment order is the row
-    order the caller chose, never a hash order.
-    """
-    cache: Dict[int, Any] = {}
-    out: List[Tuple[int, Any]] = []
-    for count, level in rows:
-        decision = cache.get(level)
-        if decision is None:
-            decision = decide(level)
-            cache[level] = decision
-        out.append((count, decision))
-    return out
-
-
-def merge_rows(rows: Sequence[Row]) -> List[Row]:
-    """Coalesce rows that landed on the same level (state block compaction).
-
-    Ordering guarantee: the merge is **stable by level** — counts for equal
-    levels are summed in input order and the result is sorted by ascending
-    level, so two row blocks with the same per-level populations merge to
-    the *identical* list regardless of how their rows were ordered.  The
-    columnar population engine relies on this for deterministic booking
-    order; a homogeneous cohort (one distinct level) stays a single row
-    forever either way.
-    """
-    counts: Dict[int, int] = {}
-    for count, level in rows:
-        counts[level] = counts.get(level, 0) + count
-    return [(counts[level], level) for level in sorted(counts)]

@@ -13,7 +13,8 @@ a receiver
 Group membership is managed with plain IGMP joins and leaves, which is what
 makes the protocol vulnerable to inflated subscription: nothing stops a
 receiver from joining every group of the session (see
-:mod:`repro.multicast_cc.misbehaving` and Figure 1 of the paper).
+the ``inflated-join`` strategy of :mod:`repro.adversary` and Figure 1 of the
+paper).
 
 This module provides the sender (:class:`FlidDlSender` is the shared layered
 sender unchanged) and the well-behaved receiver (:class:`FlidDlReceiver`).

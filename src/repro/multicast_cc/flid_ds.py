@@ -33,6 +33,7 @@ from ..core.delta import (
 from ..core.sigma import SigmaHostInterface, SigmaKeyDistributor
 from ..crypto.nonce import NonceGenerator
 from ..fec.erasure import FecConfig
+from ..simulator.address import GroupAddress
 from ..simulator.monitors import OverheadAccumulator
 from ..simulator.node import Host
 from ..simulator.packet import Packet
@@ -191,12 +192,13 @@ class FlidDsReceiver(LayeredReceiverBase):
         self._on_keys_reconstructed(governed_slot, result.keys)
 
         if result.keys:
-            pairs = [
-                (self.spec.address_of(group), key)
-                for group, key in result.submitted_pairs()
-            ]
-            self.sigma.subscribe(governed_slot, pairs)
-            self.subscriptions_sent += 1
+            self._subscribe(
+                governed_slot,
+                [
+                    (self.spec.address_of(group), key)
+                    for group, key in result.submitted_pairs()
+                ],
+            )
 
         if congested and result.next_level < entitled:
             # The reduced subscription only takes effect at the governed slot
@@ -223,6 +225,11 @@ class FlidDsReceiver(LayeredReceiverBase):
             lost_groups=frozenset(lost),
             upgrade_authorized=frozenset(record.upgrade_groups),
         )
+
+    def _subscribe(self, governed_slot: int, pairs: List[Tuple[GroupAddress, int]]) -> None:
+        """Submit the reconstructed (group, key) pairs for ``governed_slot``."""
+        self.sigma.subscribe(governed_slot, pairs)
+        self.subscriptions_sent += 1
 
     def _on_keys_reconstructed(self, governed_slot: int, keys: Dict[int, int]) -> None:
         """Hook: the keys DELTA reconstructed for ``governed_slot``.

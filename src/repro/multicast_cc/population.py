@@ -1,86 +1,25 @@
-"""Columnar population state: every cohort of a scenario in one table.
+"""Population helpers shared by the aggregated receiver realisations.
 
-The cohort model (:mod:`~repro.multicast_cc.cohort`) amortises a homogeneous
-population behind a per-cohort receiver *object* — which is what caps
-sessions around 100k receivers: with thousands of cohorts the per-slot cost
-becomes thousands of Python method calls again.  This module holds the
-population state *columnar* instead:
-
-* a :class:`PopulationTable` owns one :class:`PopulationBlock` per
-  ``(router, session)`` placement — contiguous ``count`` / ``level`` /
-  ``phase`` / ``target`` columns covering every cohort row at that edge;
-* the vectorised receivers (:mod:`~repro.multicast_cc.vector`) advance a
-  whole block through the array-form decision rules of
-  :mod:`~repro.multicast_cc.decision` in **one pass per slot**, then emit a
-  single member-weighted IGMP/SIGMA booking for the block;
-* columns are numpy ``int64`` arrays when numpy is importable and plain
-  :class:`array.array` ``'q'`` columns otherwise — numpy is an *optional*
-  accelerator, never a dependency.  ``REPRO_POPULATION_BACKEND=numpy`` or
-  ``=fallback`` forces the choice (CI runs the cohort tests on both).
-
-Exactness is inherited from the cohort contract (``docs/scale.md``): within
-a block every row is homogeneous (honest or batch-exact adversarial, same
-router, same start, lossless access links), so the array rules reproduce
-what each member — and therefore each per-cohort object — would have
-decided, byte for byte.
+A ``model="cohort"`` or ``model="vector"`` population block splits its
+members into cohort rows with :func:`split_counts`; the aggregated receivers
+of :mod:`~repro.multicast_cc.cohort` carry those rows.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+import importlib.util
+from typing import List
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_POPULATION_BACKEND
-    _np = None
-
-__all__ = [
-    "BACKEND_ENV_VAR",
-    "active_backend",
-    "numpy_available",
-    "split_counts",
-    "PopulationBlock",
-    "PopulationTable",
-]
-
-#: Environment variable forcing the column backend (``numpy`` | ``fallback``).
-BACKEND_ENV_VAR = "REPRO_POPULATION_BACKEND"
-
-#: One columnar row: ``(receiver count, subscription level)``.
-Row = Tuple[int, int]
-
-#: A column in either backend flavour.
-Column = Union["array", "object"]
-
-
-def numpy_available() -> bool:
-    """True when the numpy accelerator backend can be used at all."""
-    return _np is not None
+__all__ = ["active_backend", "split_counts"]
 
 
 def active_backend() -> str:
-    """Resolve the column backend: ``"numpy"`` or ``"fallback"``.
+    """``"numpy"`` when numpy is importable, else ``"fallback"``.
 
-    Defaults to numpy when importable; :data:`BACKEND_ENV_VAR` overrides the
-    choice in either direction so CI can pin the pure-stdlib path.
+    The simulator never imports numpy; benchmark records keep this probe in
+    the environment two compared runs must share.
     """
-    choice = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if choice == "fallback":
-        return "fallback"
-    if choice == "numpy":
-        if _np is None:
-            raise RuntimeError(
-                f"{BACKEND_ENV_VAR}=numpy requested but numpy is not importable"
-            )
-        return "numpy"
-    if choice:
-        raise ValueError(
-            f"unknown {BACKEND_ENV_VAR} value {choice!r}; "
-            "expected 'numpy' or 'fallback'"
-        )
-    return "numpy" if _np is not None else "fallback"
+    return "numpy" if importlib.util.find_spec("numpy") is not None else "fallback"
 
 
 def split_counts(count: int, cohorts: int) -> List[int]:
@@ -94,179 +33,3 @@ def split_counts(count: int, cohorts: int) -> List[int]:
         raise ValueError(f"cannot split {count} members into {cohorts} cohorts")
     base, extra = divmod(count, cohorts)
     return [base + 1 if index < extra else base for index in range(cohorts)]
-
-
-def _make_column(values: Sequence[int], backend: str) -> Column:
-    """Materialise one signed-64-bit column in the chosen backend."""
-    if backend == "numpy":
-        return _np.asarray(list(values), dtype=_np.int64)
-    return array("q", values)
-
-
-class PopulationBlock:
-    """All cohort rows of one ``(router, session)`` placement, columnar.
-
-    A block is the unit a vectorised receiver advances per slot: one
-    ``counts`` column (fixed at allocation), one mutable ``levels`` column,
-    plus ``phases`` (the churn-cycle flag of the batch-exact churn rule) and
-    ``targets`` (the pinned level of an attack strategy).  Rows within a
-    block share one host/interface, so the *homogeneity invariant* of the
-    cohort model applies block-wide: :meth:`require_uniform` is the columnar
-    analogue of the cohort's single-row guard.
-    """
-
-    __slots__ = ("router", "session", "population", "_backend", "_counts", "_levels", "_phases", "_targets")
-
-    def __init__(self, router: str, session: str, counts: Sequence[int], backend: str) -> None:
-        """Allocate columns for ``counts`` cohort rows placed at ``router``."""
-        counts = [int(count) for count in counts]
-        if not counts or any(count < 1 for count in counts):
-            raise ValueError("a population block needs >=1 rows of >=1 members")
-        self.router = router
-        self.session = session
-        #: Total end systems across every row of the block.
-        self.population = sum(counts)
-        self._backend = backend
-        self._counts = _make_column(counts, backend)
-        self._levels = _make_column([0] * len(counts), backend)
-        self._phases = _make_column([0] * len(counts), backend)
-        self._targets = _make_column([0] * len(counts), backend)
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        """Number of cohort rows (not members) in the block."""
-        return len(self._counts)
-
-    @property
-    def backend(self) -> str:
-        """The column backend this block was allocated on."""
-        return self._backend
-
-    def counts(self) -> Column:
-        """The immutable per-row member-count column."""
-        return self._counts
-
-    def levels(self) -> Column:
-        """The per-row subscription-level column (mutate via the setters)."""
-        return self._levels
-
-    def phases(self) -> Column:
-        """The per-row churn-phase flag column (0 = low, 1 = high)."""
-        return self._phases
-
-    def targets(self) -> Column:
-        """The per-row pinned attack-target column (0 = no pin)."""
-        return self._targets
-
-    # ------------------------------------------------------------------
-    def _store(self, name: str, values: Union[int, Sequence[int]]) -> None:
-        column = getattr(self, name)
-        if isinstance(values, int):
-            if self._backend == "numpy":
-                column[:] = values
-            else:
-                for index in range(len(column)):
-                    column[index] = values
-            return
-        if len(values) != len(column):
-            raise ValueError(
-                f"column length mismatch: got {len(values)} values for "
-                f"{len(column)} rows"
-            )
-        if self._backend == "numpy":
-            column[:] = _np.asarray(values, dtype=_np.int64)
-        else:
-            for index, value in enumerate(values):
-                column[index] = int(value)
-
-    def set_levels(self, values: Union[int, Sequence[int]]) -> None:
-        """Overwrite the level column with a scalar or a same-length column."""
-        self._store("_levels", values)
-
-    def set_phases(self, values: Union[int, Sequence[int]]) -> None:
-        """Overwrite the churn-phase column (scalar or same-length column)."""
-        self._store("_phases", values)
-
-    def set_targets(self, values: Union[int, Sequence[int]]) -> None:
-        """Overwrite the attack-target column (scalar or same-length column)."""
-        self._store("_targets", values)
-
-    # ------------------------------------------------------------------
-    def rows(self) -> List[Row]:
-        """The block as ``(count, level)`` rows, in stable row order."""
-        return [
-            (int(count), int(level))
-            for count, level in zip(self._counts, self._levels)
-        ]
-
-    def require_uniform(self) -> int:
-        """Return the single level every row sits at, or fail loudly.
-
-        The columnar analogue of the cohort model's single-row guard: the
-        block drives one shared IGMP/SIGMA interface, which can only
-        represent one membership set.  Homogeneous blocks never split; a
-        split is a bug, not a state to paper over.
-        """
-        if self._backend == "numpy":
-            first = int(self._levels[0])
-            if bool((self._levels != first).any()):
-                raise RuntimeError(
-                    f"population block at {self.router!r} split across levels "
-                    f"({self.rows()!r}); heterogeneous members must be "
-                    "separate blocks or individuals"
-                )
-            return first
-        first = self._levels[0]
-        for level in self._levels:
-            if level != first:
-                raise RuntimeError(
-                    f"population block at {self.router!r} split across levels "
-                    f"({self.rows()!r}); heterogeneous members must be "
-                    "separate blocks or individuals"
-                )
-        return first
-
-
-class PopulationTable:
-    """Every population block of one scenario, keyed ``(router, session)``.
-
-    The table is the scenario-level registry the vectorised receivers
-    allocate their blocks from; iterating :meth:`blocks` visits allocation
-    order (deterministic — spec declaration order), which is what keeps the
-    bulk IGMP/SIGMA booking order byte-stable across runs and processes.
-    """
-
-    def __init__(self, backend: str = "") -> None:
-        """Create an empty table on ``backend`` (default: :func:`active_backend`)."""
-        self.backend = backend or active_backend()
-        self._blocks: Dict[Tuple[str, str], List[PopulationBlock]] = {}
-        self._order: List[PopulationBlock] = []
-
-    def allocate(self, router: str, session: str, counts: Sequence[int]) -> PopulationBlock:
-        """Allocate (and register) the block for ``counts`` rows at ``router``."""
-        block = PopulationBlock(router, session, counts, self.backend)
-        self._blocks.setdefault((router, session), []).append(block)
-        self._order.append(block)
-        return block
-
-    def blocks(self) -> Iterator[PopulationBlock]:
-        """All blocks in allocation order."""
-        return iter(self._order)
-
-    def blocks_for(self, router: str, session: str) -> Tuple[PopulationBlock, ...]:
-        """The blocks allocated for one ``(router, session)`` placement."""
-        return tuple(self._blocks.get((router, session), ()))
-
-    def __len__(self) -> int:
-        """Number of allocated blocks."""
-        return len(self._order)
-
-    @property
-    def population(self) -> int:
-        """Total end systems across every block in the table."""
-        return sum(block.population for block in self._order)
-
-    @property
-    def rows(self) -> int:
-        """Total cohort rows across every block in the table."""
-        return sum(len(block) for block in self._order)

@@ -14,10 +14,9 @@ session's receiver population from:
   a batch-exact attack stack (:mod:`repro.adversary.cohort`); the protection
   metrics weight its excess goodput by the attacker population.
 
-The columnar engine's vectorised receivers
-(:mod:`~repro.multicast_cc.vector`) are cohort subclasses and wrap into the
-same :class:`ReceiverCohort` / :class:`AdversarialCohort` models — one model
-per edge-router block, carrying that block's whole population.
+A ``model="vector"`` block realises one cohort receiver per edge router,
+each wrapped in the same :class:`ReceiverCohort` / :class:`AdversarialCohort`
+models and carrying that edge's whole population.
 
 All expose the same small surface — ``population``, the underlying
 ``receiver`` object, per-member and population-weighted goodput — so the

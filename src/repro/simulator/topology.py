@@ -587,10 +587,11 @@ def multi_edge_dumbbell_topology(
     Senders attach at ``left``; one shared ``left``–``core`` bottleneck
     carries the session, and ``edges`` fat (non-bottleneck) distribution
     links fan out from ``core`` to the receiver edge routers.  Every edge
-    router runs its own group manager, so this is the shape the columnar
-    population engine spreads a very large audience over: one packet copy
-    crosses the bottleneck, ``edges`` copies leave the core — receivers
-    behind each edge still share a single access interface per block.
+    router runs its own group manager, so this is the shape
+    ``model="vector"`` population blocks spread a very large audience over:
+    one packet copy crosses the bottleneck, ``edges`` copies leave the core
+    — receivers behind each edge still share a single access interface per
+    block.
     """
     if edges < 1:
         raise ValueError("multi-edge dumbbell needs at least one edge router")

@@ -1,10 +1,9 @@
-"""Exactness of the columnar engine: vector block == cohorts == individuals.
+"""Exactness of per-edge aggregation: vector block == cohorts == individuals.
 
-The columnar population engine (``docs/scale.md``) extends the cohort
-contract one level up: a ``model="vector"`` block whose rows are advanced by
-the array-form decision rules must reproduce — with ``==``, on the same
-seed — what ``model="cohort"`` and ``model="individual"`` produce member for
-member:
+``model="vector"`` (``docs/scale.md``) extends the cohort contract one level
+up: one aggregated receiver per edge router, carrying several cohort rows,
+must reproduce — with ``==``, on the same seed — what ``model="cohort"`` and
+``model="individual"`` produce member for member:
 
 * identical subscription-level trajectories (the full ``(time, level)``
   transition list),
@@ -13,16 +12,9 @@ member:
   population-weighted IGMP counters on the unprotected one,
 * for adversarial blocks, identical attack counters under every
   batch-exact strategy.
-
-Everything here is asserted on **both** column backends: the parametrised
-fixtures pin :data:`~repro.multicast_cc.population.BACKEND_ENV_VAR` so the
-numpy path and the pure-stdlib ``array.array`` fallback are each held to the
-same exactness bar (the CI fallback job re-runs the module with the env var
-exported globally, covering the numpy-absent container too).
 """
 
 import itertools
-import os
 
 import pytest
 
@@ -34,8 +26,6 @@ from repro.experiments import (
     ScenarioSpec,
     SessionDecl,
 )
-from repro.multicast_cc.population import BACKEND_ENV_VAR, numpy_available
-
 POPULATION = 3
 DURATION_S = 20.0
 ATTACK_DURATION_S = 16.0
@@ -51,7 +41,6 @@ STRATEGIES = (
     "join-storm",
     "collusion",
 )
-BACKENDS = ("numpy", "fallback")
 
 
 def _honest_spec(protected: bool, model: str, cohorts=None) -> ScenarioSpec:
@@ -96,47 +85,29 @@ def _attack_spec(protected: bool, model: str, strategy: str) -> ScenarioSpec:
     )
 
 
-def _run(spec: ScenarioSpec, duration_s: float, backend: str = "") -> Scenario:
-    """Realise and run a spec, pinning the column backend for the build."""
-    saved = os.environ.get(BACKEND_ENV_VAR)
-    if backend:
-        os.environ[BACKEND_ENV_VAR] = backend
-    try:
-        scenario = Scenario.from_spec(spec)
-    finally:
-        if backend:
-            if saved is None:
-                os.environ.pop(BACKEND_ENV_VAR, None)
-            else:
-                os.environ[BACKEND_ENV_VAR] = saved
+def _run(spec: ScenarioSpec, duration_s: float) -> Scenario:
+    scenario = Scenario.from_spec(spec)
     scenario.run(duration_s)
     return scenario
 
 
-def _backend_or_skip(name: str) -> str:
-    if name == "numpy" and not numpy_available():
-        pytest.skip("numpy not importable in this environment")
-    return name
+#: Protocol-variant parametrisation (``protected`` flag -> test id).
+DL = pytest.param(False, id="flid_dl")
+DS = pytest.param(True, id="flid_ds")
 
 
-@pytest.fixture(
-    scope="module",
-    params=list(itertools.product([False, True], BACKENDS)),
-    ids=lambda p: f"{'flid_ds' if p[0] else 'flid_dl'}-{p[1]}",
-)
+@pytest.fixture(scope="module", params=[DL, DS])
 def trio(request):
-    """(vector, cohort, individual) scenarios per protocol × backend.
+    """(vector, cohort, individual) scenarios per protocol.
 
     The vector realisation splits the population into one row per member
-    (``cohorts=POPULATION``), so the block carries per-member granularity —
-    the hardest shape for the one-pass rules to keep exact.
+    (``cohorts=POPULATION``), so the receiver carries per-member rows — the
+    shape in which a row drifting off the shared level would show.
     """
-    protected, backend = request.param
-    _backend_or_skip(backend)
+    protected = request.param
     return (
         protected,
-        backend,
-        _run(_honest_spec(protected, "vector", POPULATION), DURATION_S, backend),
+        _run(_honest_spec(protected, "vector", POPULATION), DURATION_S),
         _run(_honest_spec(protected, "cohort"), DURATION_S),
         _run(_honest_spec(protected, "individual"), DURATION_S),
     )
@@ -144,21 +115,19 @@ def trio(request):
 
 def test_population_accounting(trio):
     """One vector receiver per edge stands for the whole population."""
-    _, backend, vector, cohort, individual = trio
+    _, vector, cohort, individual = trio
     assert vector.sessions[0].total_population == POPULATION
     assert len(vector.sessions[0].receivers) == 1  # one edge on the dumbbell
     assert len(cohort.sessions[0].receivers) == 1
     assert len(individual.sessions[0].receivers) == POPULATION
-    assert vector.population_table is not None
-    assert vector.population_table.backend == backend
-    assert vector.population_table.population == POPULATION
-    assert vector.population_table.rows == POPULATION
-    assert cohort.population_table is None  # cohorts do not allocate blocks
+    assert vector.sessions[0].receivers[0].state_rows() == [
+        (1, vector.sessions[0].receivers[0].level)
+    ] * POPULATION
 
 
 def test_identical_subscription_trajectories(trio):
     """The vector block's trajectory equals cohort's and every individual's."""
-    _, _, vector, cohort, individual = trio
+    _, vector, cohort, individual = trio
     history = vector.sessions[0].receivers[0].level_history
     assert len(history) > 2, "run too quiet to be a meaningful check"
     assert cohort.sessions[0].receivers[0].level_history == history
@@ -167,8 +136,8 @@ def test_identical_subscription_trajectories(trio):
 
 
 def test_block_keeps_per_member_rows(trio):
-    """The columnar block tracks every member row, uniformly levelled."""
-    _, _, vector, _, _ = trio
+    """The vector receiver tracks every member row, uniformly levelled."""
+    _, vector, _, _ = trio
     receiver = vector.sessions[0].receivers[0]
     rows = receiver.state_rows()
     assert len(rows) == POPULATION
@@ -178,7 +147,7 @@ def test_block_keeps_per_member_rows(trio):
 
 def test_identical_per_member_goodput(trio):
     """Per-member goodput matches across all three realisations."""
-    _, _, vector, cohort, individual = trio
+    _, vector, cohort, individual = trio
     member_kbps = vector.sessions[0].models[0].average_rate_kbps(0.0, DURATION_S)
     assert member_kbps > 0
     assert (
@@ -188,11 +157,10 @@ def test_identical_per_member_goodput(trio):
         assert model.average_rate_kbps(0.0, DURATION_S) == member_kbps
 
 
+@pytest.mark.parametrize("trio", [DS], indirect=True)
 def test_identical_sigma_counters(trio):
     """Protected variant: every SIGMA counter matches exactly."""
-    protected, _, vector, cohort, individual = trio
-    if not protected:
-        pytest.skip("SIGMA counters exist only on the protected variant")
+    _, vector, cohort, individual = trio
     for other in (cohort, individual):
         assert vector.sigma.valid_submissions == other.sigma.valid_submissions
         assert vector.sigma.invalid_submissions == other.sigma.invalid_submissions
@@ -201,11 +169,10 @@ def test_identical_sigma_counters(trio):
     assert vector.sigma.valid_submissions > 0
 
 
+@pytest.mark.parametrize("trio", [DL], indirect=True)
 def test_identical_igmp_counters(trio):
     """Unprotected variant: population-weighted join/leave counts match."""
-    protected, _, vector, cohort, individual = trio
-    if protected:
-        pytest.skip("IGMP managers exist only on the unprotected variant")
+    _, vector, cohort, individual = trio
     for other in (cohort, individual):
         assert (
             vector.igmp_managers[0].joins_handled
@@ -220,7 +187,7 @@ def test_identical_igmp_counters(trio):
 
 def test_block_slices_map_declarations_to_objects(trio):
     """block_slices records each declaration's realised object range."""
-    _, _, vector, cohort, individual = trio
+    _, vector, cohort, individual = trio
     assert vector.sessions[0].block_slices == [(0, 1)]
     assert cohort.sessions[0].block_slices == [(0, 1)]
     assert individual.sessions[0].block_slices == [(0, POPULATION)]
@@ -231,17 +198,16 @@ def test_block_slices_map_declarations_to_objects(trio):
 # ----------------------------------------------------------------------
 @pytest.fixture(
     scope="module",
-    params=list(itertools.product([False, True], STRATEGIES, BACKENDS)),
-    ids=lambda p: f"{'flid_ds' if p[0] else 'flid_dl'}-{p[1]}-{p[2]}",
+    params=list(itertools.product([False, True], STRATEGIES)),
+    ids=lambda p: f"{'flid_ds' if p[0] else 'flid_dl'}-{p[1]}",
 )
 def attack_pair(request):
-    """(vector, cohort) scenario pairs per protocol × strategy × backend."""
-    protected, strategy, backend = request.param
-    _backend_or_skip(backend)
+    """(vector, cohort) scenario pairs per protocol × strategy."""
+    protected, strategy = request.param
     return (
         protected,
         strategy,
-        _run(_attack_spec(protected, "vector", strategy), ATTACK_DURATION_S, backend),
+        _run(_attack_spec(protected, "vector", strategy), ATTACK_DURATION_S),
         _run(_attack_spec(protected, "cohort", strategy), ATTACK_DURATION_S),
     )
 

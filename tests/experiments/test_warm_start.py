@@ -2,14 +2,13 @@
 
 The warm-start pipeline promises that resuming a grid cell from a shared
 prefix checkpoint is **indistinguishable** from running it cold: for every
-golden scenario, on both column backends, through the serial and pooled
-runner paths, the warm result document must equal the cold one byte for
+golden scenario, through the serial and pooled runner paths, the warm result document must equal the cold one byte for
 byte.  This suite holds the pipeline to that bar and to its safety rails:
 
 * a prefix is only shared when the swept fields are provably inert before
   the divergence slot — a churn burst inside the prefix splits the key,
-* torn or corrupt checkpoint blobs read as misses and degrade to cold
-  prefixes, never wrong state,
+* torn or corrupt checkpoint blobs, and blobs of an older checkpoint
+  layout, read as misses and degrade to cold prefixes, never wrong state,
 * ``verify=True`` re-runs a warm cell cold and raises on any divergence,
 * the engine's exclusive barrier cut leaves events scheduled at exactly the
   barrier queued for the resumed run.
@@ -17,6 +16,7 @@ byte.  This suite holds the pipeline to that bar and to its safety rails:
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -31,8 +31,8 @@ from repro.experiments import (
     scenario_spec,
 )
 from repro.experiments.runner import cache_stats, prune_cache
+from repro.experiments.scenario import CHECKPOINT_VERSION
 from repro.experiments.warmstart import PREFIX_NAME, run_checkpoint_json, run_warm_json
-from repro.multicast_cc.population import BACKEND_ENV_VAR, numpy_available
 from repro.simulator.engine import Simulator
 
 #: The golden-trace scenarios (same shortened overrides as ``tests/golden``),
@@ -64,15 +64,6 @@ GOLDEN_CASES = {
     ),
 }
 
-BACKENDS = ("numpy", "fallback")
-
-
-def _backend_or_skip(name):
-    if name == "numpy" and not numpy_available():
-        pytest.skip("numpy not importable in this environment")
-    return name
-
-
 def _warm_via_worker(spec, tmp_path, verify=False):
     """Run ``spec`` through the pool worker's warm path; returns result JSON."""
     plan = plan_prefix(spec)
@@ -88,11 +79,9 @@ def _warm_via_worker(spec, tmp_path, verify=False):
     return run_warm_json(json.dumps(payload))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_golden_warm_equals_cold(name, backend, tmp_path, monkeypatch):
-    """Checkpoint at the barrier, run to end == cold run, on both backends."""
-    monkeypatch.setenv(BACKEND_ENV_VAR, _backend_or_skip(backend))
+def test_golden_warm_equals_cold(name, tmp_path):
+    """Checkpoint at the barrier, run to end == cold run."""
     spec = scenario_spec(name, **GOLDEN_CASES[name])
     cold = execute_spec(spec).to_json()
     warm = _warm_via_worker(spec, tmp_path)
@@ -301,14 +290,18 @@ def test_verify_catches_forced_divergence(tmp_path):
         _warm_via_worker(spec, tmp_path, verify=True)
 
 
-def test_checkpoint_key_is_backend_scoped(monkeypatch):
+def test_older_checkpoint_layout_is_a_miss(tmp_path):
+    """A blob stamped with a previous CHECKPOINT_VERSION never restores."""
     spec = scale_protection_spec(audience=300, attack_start_s=12.0, duration_s=18.0)
-    monkeypatch.setenv(BACKEND_ENV_VAR, "fallback")
-    fallback_key = plan_prefix(spec).checkpoint_key()
-    if not numpy_available():
-        pytest.skip("numpy not importable; cannot compare backend keys")
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-    assert plan_prefix(spec).checkpoint_key() != fallback_key
+    cold = execute_spec(spec).to_json()
+    plan = plan_prefix(spec)
+    store = CheckpointStore(tmp_path)
+    assert _warm_via_worker(spec, tmp_path) == cold
+    blob_path = store.path(plan.checkpoint_key())
+    _version, scenario = pickle.loads(blob_path.read_bytes())
+    blob_path.write_bytes(pickle.dumps((CHECKPOINT_VERSION - 1, scenario)))
+    assert store.load(plan.checkpoint_key()) is None
+    assert _warm_via_worker(spec, tmp_path) == cold
 
 
 def test_cache_stats_and_prune(tmp_path):

@@ -2,11 +2,18 @@
 
 These tests are the unit-level counterpart of Figures 1 and 7: the attack
 must succeed against IGMP-managed FLID-DL and fail against SIGMA-managed
-FLID-DS.
+FLID-DS.  The attackers are adversarial receivers mounting the strategy
+stacks the scenario interpreter expands the paper's ``misbehaving``
+shorthand into: ``inflated-join`` against FLID-DL, and ``inflated-join``
+(honest pipeline kept) + ``key-replay`` + ``key-guessing`` against FLID-DS.
 """
 
-import pytest
-
+from repro.adversary import (
+    AdversarialFlidDlReceiver,
+    AdversarialFlidDsReceiver,
+    AttackSpec,
+    build_strategies,
+)
 from repro.core.sigma import SigmaRouterAgent
 from repro.core.timeslot import SlotClock
 from repro.multicast_cc import (
@@ -14,12 +21,31 @@ from repro.multicast_cc import (
     FlidDlSender,
     FlidDsReceiver,
     FlidDsSender,
-    IgnoreCongestionFlidDlReceiver,
-    InflatedSubscriptionFlidDlReceiver,
-    InflatedSubscriptionFlidDsReceiver,
     SessionSpec,
 )
 from repro.simulator import DumbbellConfig, DumbbellNetwork, install_igmp
+
+
+def figure1_attacker(net, host, spec, attack_start):
+    """FLID-DL receiver that joins every group at ``attack_start`` (Figure 1)."""
+    attacks = [AttackSpec("inflated-join", start_s=attack_start)]
+    return AdversarialFlidDlReceiver(
+        net, host, spec, build_strategies(attacks, net, spec, host.name)
+    )
+
+
+def figure7_attacker(net, host, spec, attack_start):
+    """FLID-DS receiver mounting the composite Figure 7 attack against SIGMA."""
+    attacks = [
+        AttackSpec(
+            "inflated-join", start_s=attack_start, params={"suppress_honest": False}
+        ),
+        AttackSpec("key-replay", start_s=attack_start),
+        AttackSpec("key-guessing", start_s=attack_start),
+    ]
+    return AdversarialFlidDsReceiver(
+        net, host, spec, build_strategies(attacks, net, spec, host.name)
+    )
 
 
 def build_dl_with_attacker(attack_start=5.0, bottleneck_bps=500_000.0):
@@ -35,9 +61,7 @@ def build_dl_with_attacker(attack_start=5.0, bottleneck_bps=500_000.0):
     attacker_host = net.add_receiver()
     victim_host = net.add_receiver()
     net.build_routes()
-    attacker = InflatedSubscriptionFlidDlReceiver(
-        net, attacker_host, sessions[0][0], attack_start_s=attack_start
-    )
+    attacker = figure1_attacker(net, attacker_host, sessions[0][0], attack_start)
     victim = FlidDlReceiver(net, victim_host, sessions[1][0])
     for _, tx in sessions:
         tx.start()
@@ -62,9 +86,7 @@ def build_ds_with_attacker(attack_start=5.0, bottleneck_bps=500_000.0):
     attacker_host = net.add_receiver()
     victim_host = net.add_receiver()
     net.build_routes()
-    attacker = InflatedSubscriptionFlidDsReceiver(
-        net, attacker_host, sessions[0][0], attack_start_s=attack_start
-    )
+    attacker = figure7_attacker(net, attacker_host, sessions[0][0], attack_start)
     victim = FlidDsReceiver(net, victim_host, sessions[1][0])
     for _, tx in sessions:
         tx.start()
@@ -128,13 +150,13 @@ class TestAttackOnFlidDs:
     def test_guessed_keys_are_rejected(self):
         net, attacker, victim, agent = build_ds_with_attacker(attack_start=3.0)
         net.run(until=15.0)
-        assert attacker.guess_attempts > 0
+        assert attacker.adversary_stats()["guess_attempts"] > 0
         assert agent.invalid_submissions > 0
 
     def test_igmp_joins_are_ignored_by_sigma(self):
         net, attacker, victim, agent = build_ds_with_attacker(attack_start=3.0)
         net.run(until=10.0)
-        assert attacker.igmp_attempts == attacker.spec.group_count
+        assert attacker.adversary_stats()["igmp_attempts"] == attacker.spec.group_count
         assert agent.igmp_joins_ignored >= attacker.spec.group_count
 
     def test_probability_of_guessing_is_negligible(self):
@@ -157,7 +179,10 @@ class TestIgnoreCongestionReceiver:
         tx = FlidDlSender(net, net.add_sender(), spec)
         rx_host = net.add_receiver()
         net.build_routes()
-        rx = IgnoreCongestionFlidDlReceiver(net, rx_host, spec)
+        hold = [AttackSpec("ignore-congestion", params={"mode": "hold"})]
+        rx = AdversarialFlidDlReceiver(
+            net, rx_host, spec, build_strategies(hold, net, spec, rx_host.name)
+        )
         tx.start()
         rx.start()
         net.run(until=20.0)

@@ -1,59 +1,46 @@
-"""The columnar population table: blocks, backends and the uniform guard.
+"""Population helpers and the aggregated receivers' row validation.
 
-The :mod:`repro.multicast_cc.population` contract is backend-transparent:
-every behaviour asserted here must hold identically on the numpy column
-backend and on the pure-stdlib ``array.array`` fallback — the parametrised
-``backend`` fixture runs the whole module on both (numpy legs skip when
-numpy is genuinely absent, which is how the CI fallback job runs them).
+:mod:`repro.multicast_cc.population` keeps only the cohort-row split and the
+numpy-importability probe benchmark records carry; the rows themselves live
+on the :mod:`~repro.multicast_cc.cohort` receivers.
 """
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.multicast_cc.population import (
-    BACKEND_ENV_VAR,
-    PopulationBlock,
-    PopulationTable,
-    active_backend,
-    numpy_available,
-    split_counts,
-)
+from repro.multicast_cc import CohortFlidDlReceiver, SessionSpec
+from repro.multicast_cc.population import active_backend, split_counts
+from repro.simulator import DumbbellConfig, DumbbellNetwork
 
-BACKENDS = ("numpy", "fallback")
+SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    """Each supported column backend (numpy legs skip when unavailable)."""
-    if request.param == "numpy" and not numpy_available():
-        pytest.skip("numpy not importable in this environment")
-    return request.param
+def test_active_backend_defaults_to_numpy_when_available():
+    numpy_present = importlib.util.find_spec("numpy") is not None
+    assert active_backend() == ("numpy" if numpy_present else "fallback")
 
 
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-def test_active_backend_defaults_to_numpy_when_available(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert active_backend() == ("numpy" if numpy_available() else "fallback")
-
-
-def test_active_backend_env_override(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "fallback")
-    assert active_backend() == "fallback"
-    if numpy_available():
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert active_backend() == "numpy"
-
-
-def test_active_backend_rejects_unknown_value(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "pandas")
-    with pytest.raises(ValueError, match="pandas"):
-        active_backend()
-
-
-def test_active_backend_env_is_case_and_space_tolerant(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "  Fallback ")
-    assert active_backend() == "fallback"
+def test_simulation_never_imports_numpy():
+    """A full aggregated run leaves numpy unimported (it is no dependency)."""
+    code = (
+        "import sys\n"
+        "from repro.experiments import execute_spec, scenario_spec\n"
+        "from repro.multicast_cc.population import active_backend\n"
+        "active_backend()\n"
+        "execute_spec(scenario_spec('scale-dumbbell-1m', receivers=400, cohorts=8,"
+        " attackers=8, attacker_cohorts=2, edges=2, duration_s=4.0,"
+        " attack_start_s=2.0))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={"PYTHONPATH": str(SRC_DIR)},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -75,75 +62,22 @@ def test_split_counts_rejects_impossible_splits():
 
 
 # ----------------------------------------------------------------------
-# PopulationBlock
+# cohort rows on the aggregated receiver
 # ----------------------------------------------------------------------
-def test_block_allocation_and_rows(backend):
-    block = PopulationBlock("edge1", "s", (3, 2, 1), backend)
-    assert len(block) == 3
-    assert block.population == 6
-    assert block.backend == backend
-    assert block.rows() == [(3, 0), (2, 0), (1, 0)]
-    assert list(block.counts()) == [3, 2, 1]
+def _cohort(counts):
+    net = DumbbellNetwork(DumbbellConfig())
+    spec = SessionSpec("s").with_addresses(net.allocate_groups(10))
+    return CohortFlidDlReceiver(net, net.add_receiver(), spec, counts=counts)
 
 
-def test_block_rejects_empty_and_nonpositive_rows(backend):
-    with pytest.raises(ValueError):
-        PopulationBlock("e", "s", (), backend)
-    with pytest.raises(ValueError):
-        PopulationBlock("e", "s", (3, 0), backend)
+def test_cohort_rows_weigh_the_host_and_share_one_level():
+    receiver = _cohort([3, 2, 2])
+    assert receiver.population == 7
+    assert receiver.host.population == 7
+    assert receiver.state_rows() == [(3, 0), (2, 0), (2, 0)]
 
 
-def test_block_scalar_and_columnwise_setters(backend):
-    block = PopulationBlock("e", "s", (1, 1, 1), backend)
-    block.set_levels(4)  # scalar broadcast
-    assert block.rows() == [(1, 4), (1, 4), (1, 4)]
-    block.set_levels([1, 2, 3])  # column write
-    assert block.rows() == [(1, 1), (1, 2), (1, 3)]
-    block.set_phases([0, 1, 0])
-    assert list(block.phases()) == [0, 1, 0]
-    block.set_targets(7)
-    assert list(block.targets()) == [7, 7, 7]
-
-
-def test_block_setter_rejects_length_mismatch(backend):
-    block = PopulationBlock("e", "s", (1, 1, 1), backend)
-    with pytest.raises(ValueError, match="length mismatch"):
-        block.set_levels([1, 2])
-
-
-def test_require_uniform_returns_the_common_level(backend):
-    block = PopulationBlock("e", "s", (5, 5), backend)
-    block.set_levels(3)
-    assert block.require_uniform() == 3
-
-
-def test_require_uniform_fails_loudly_on_split_blocks(backend):
-    block = PopulationBlock("edge9", "s", (5, 5), backend)
-    block.set_levels([3, 2])
-    with pytest.raises(RuntimeError, match="edge9"):
-        block.require_uniform()
-
-
-# ----------------------------------------------------------------------
-# PopulationTable
-# ----------------------------------------------------------------------
-def test_table_allocation_order_and_lookup(backend):
-    table = PopulationTable(backend)
-    a = table.allocate("e1", "s1", (10,))
-    b = table.allocate("e2", "s1", (5, 5))
-    c = table.allocate("e1", "s2", (1,))
-    assert list(table.blocks()) == [a, b, c]
-    assert table.blocks_for("e1", "s1") == (a,)
-    assert table.blocks_for("e2", "s1") == (b,)
-    assert table.blocks_for("nowhere", "s1") == ()
-    assert len(table) == 3
-    assert table.population == 21
-    assert table.rows == 4
-
-
-def test_table_default_backend_tracks_environment(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "fallback")
-    table = PopulationTable()
-    assert table.backend == "fallback"
-    block = table.allocate("e", "s", (2,))
-    assert block.backend == "fallback"
+def test_cohort_rejects_empty_and_nonpositive_rows():
+    for counts in ([], [0], [2, -1]):
+        with pytest.raises(ValueError):
+            _cohort(counts)

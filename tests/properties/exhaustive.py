@@ -1,42 +1,31 @@
-"""Exhaustive small-model equivalence harness for every batched decision rule.
+"""Exhaustive small-model harness for every pure decision rule.
 
-Commuter-style verification: instead of *sampling* row blocks and parameters
-(the Hypothesis approach this harness replaced), each model enumerates the
-**entire** cross product of its rule's inputs below explicit small bounds —
-every (count, level, phase, key-state, rng-draw) tuple — and asserts the
-three realisations agree pointwise:
+Commuter-style verification: instead of *sampling* inputs (the Hypothesis
+approach this harness replaced), each model enumerates the **entire** cross
+product of its rule's inputs below explicit small bounds — every (level,
+congestion, upgrade-set, phase, key-state, rng-draw) tuple — and asserts the
+scalar rule equals an independent reference re-implementation (the "small
+model") at every point.
 
-* the **scalar** rule equals an independent reference re-implementation
-  (the "small model");
-* the **batched** rule equals the scalar rule mapped over the rows, counts
-  preserved, each distinct level evaluated exactly once, in
-  first-appearance order;
-* the **array** rule (where one exists) equals the batched outcome in every
-  column flavour — plain list, ``array.array`` and (when available) numpy.
-
-Soundness of the bounds: every rule here is *count-oblivious* (the decision
-for a row depends only on its level and the shared slot inputs, never on
-the count) and *row-local* (rows do not interact — ``_batch_rows`` proves
-the composition generically for every block shape below the bound).  A
-violation at any scale therefore already manifests at some tuple below the
-bounds, which the enumeration visits.
+The scalar rules are the only form there is: individual receivers run them
+once each, aggregated cohort receivers once for every member row (all rows
+share one level), so a rule that matches its model here is exact for every
+receiver realisation — the cohort/vector equivalence tests check that the
+aggregation itself adds nothing.
 
 The registry gate: :data:`repro.adversary.spec.BATCHED_DECISION_RULES` maps
 every registered strategy to its decision rules, and
 ``tests/properties/test_exhaustive.py`` asserts each of those rules is
 covered by a model in :data:`RULE_MODELS`.  Adding a strategy without
-extending this harness fails the gate — exhaustive coverage is the proof
-obligation that makes extending cohort batching safe.
+extending this harness fails the gate.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Tuple
 
-import repro.multicast_cc.decision as decision
 from repro.adversary.spec import BATCHED_DECISION_RULES
 from repro.multicast_cc.decision import (
     ChurnAction,
@@ -44,30 +33,15 @@ from repro.multicast_cc.decision import (
     attack_rate,
     attack_target_level,
     churn_phase,
-    churn_phase_array,
     collusion_volley,
-    collusion_volley_batch,
     decide_churn,
-    decide_churn_array,
-    decide_churn_batch,
     decide_dl,
-    decide_dl_array,
-    decide_dl_batch,
-    decide_inflated_join,
-    decide_inflated_join_array,
-    decide_inflated_join_batch,
     decide_join_storm,
-    decide_join_storm_batch,
-    forbidden_count_array,
     forbidden_groups,
     guess_volley,
-    guess_volley_batch,
     mask_congestion,
-    merge_rows,
     replay_volley,
-    replay_volley_batch,
 )
-from repro.multicast_cc.population import numpy_available
 
 # ----------------------------------------------------------------------
 # small-model bounds: the full cross product below these is enumerated
@@ -76,57 +50,12 @@ from repro.multicast_cc.population import numpy_available
 GROUP_COUNT = 3
 #: Subscription/entitlement levels (0 = not yet admitted).
 LEVELS = tuple(range(GROUP_COUNT + 1))
-#: Cohort row counts.
-COUNTS = (1, 2, 3)
-#: Row-block depth for the generic composition checks.
-MAX_ROWS = 3
-#: Row-block depth for draw-heavy rules (the draw alphabet multiplies it).
-MAX_ROWS_DRAWS = 2
 #: The two-valued rng-draw alphabet of the key-guessing model.
 DRAW_ALPHABET = (0, 1)
 #: Distinct sentinel key values for stash / pool states.
 KEYS = (5, 9)
 #: Exact-in-binary rate grid for intensity-scaled knobs (eighths, 0.125..4).
 RATE_GRID = tuple(k / 8.0 for k in range(1, 33))
-
-
-def iter_blocks(
-    levels: Sequence[int] = LEVELS,
-    counts: Sequence[int] = COUNTS,
-    max_rows: int = MAX_ROWS,
-) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """Every ``(count, level)`` row block of depth 1..max_rows — exhaustively."""
-    cells = tuple((count, level) for count in counts for level in levels)
-    for depth in range(1, max_rows + 1):
-        for rows in itertools.product(cells, repeat=depth):
-            yield rows
-
-
-def iter_columns(
-    values: Sequence[int], max_len: int = MAX_ROWS
-) -> Iterator[Tuple[int, ...]]:
-    """Every column over ``values`` of length 1..max_len — exhaustively."""
-    for depth in range(1, max_len + 1):
-        for column in itertools.product(values, repeat=depth):
-            yield column
-
-
-def flavours(values: Sequence, typecode: str = "q"):
-    """The same column in every backend flavour the array rules accept."""
-    yield "list", list(values)
-    yield "array", array(typecode, values)
-    if numpy_available():
-        import numpy as np
-
-        dtype = np.float64 if typecode == "d" else np.int64
-        yield "numpy", np.asarray(list(values), dtype=dtype)
-
-
-def _assert_batch_is_scalar_map(rows, outcomes, scalar: Callable[[int], object]):
-    """The universal batching contract: pairing, counts, per-level equality."""
-    assert [count for count, _ in outcomes] == [count for count, _ in rows]
-    for (_count, level), (_c, outcome) in zip(rows, outcomes):
-        assert outcome == scalar(level), (rows, level)
 
 
 # ----------------------------------------------------------------------
@@ -194,39 +123,9 @@ def model_collusion(pooled, entitled, group_count):
 # ----------------------------------------------------------------------
 # per-rule exhaustive checks (each returns the number of cases enumerated)
 # ----------------------------------------------------------------------
-def check_batch_rows() -> int:
-    """_batch_rows: pairing, first-appearance evaluation order, memoisation."""
-    cases = 0
-    for rows in iter_blocks():
-        calls = []
-
-        def decide(level):
-            calls.append(level)
-            return ("decision", level)
-
-        out = decision._batch_rows(rows, decide)
-        assert [count for count, _ in out] == [count for count, _ in rows]
-        assert [d for _, d in out] == [("decision", level) for _, level in rows]
-        assert calls == list(dict.fromkeys(level for _, level in rows))
-        cases += 1
-    return cases
-
-
-def check_merge_rows() -> int:
-    """merge_rows: population preserved, sorted unique levels, order-stable."""
-    cases = 0
-    for rows in iter_blocks():
-        merged = merge_rows(rows)
-        assert sum(c for c, _ in merged) == sum(c for c, _ in rows)
-        levels = [level for _, level in merged]
-        assert levels == sorted(set(levels))
-        for level in set(levels):
-            assert (sum(c for c, l in rows if l == level), level) in merged
-        assert merge_rows(tuple(reversed(rows))) == merged
-        cases += 1
-    return cases
-
-
+# ----------------------------------------------------------------------
+# per-rule exhaustive checks (each returns the number of cases enumerated)
+# ----------------------------------------------------------------------
 def _upgrade_subsets():
     pool = tuple(range(1, GROUP_COUNT + 2))
     for size in range(len(pool) + 1):
@@ -234,73 +133,26 @@ def _upgrade_subsets():
 
 
 def check_dl() -> int:
-    """FLID-DL: scalar vs model, batch == scalar map (memoised), array == batch."""
+    """FLID-DL: every (level, congestion, upgrade-set, group count) tuple."""
     cases = 0
-    for congested, upgrades in itertools.product((False, True), _upgrade_subsets()):
-        scalar = {
-            level: decide_dl(level, congested, upgrades, GROUP_COUNT)
-            for level in LEVELS
-        }
-        for level in LEVELS:
-            assert scalar[level] == model_dl(level, congested, upgrades, GROUP_COUNT)
-            cases += 1
-        saved = decision.decide_dl
-        for rows in iter_blocks():
-            calls = []
-
-            def counting(level, *args):
-                calls.append(level)
-                return saved(level, *args)
-
-            decision.decide_dl = counting
-            try:
-                out = decide_dl_batch(rows, congested, upgrades, GROUP_COUNT)
-            finally:
-                decision.decide_dl = saved
-            _assert_batch_is_scalar_map(rows, out, scalar.__getitem__)
-            assert calls == list(dict.fromkeys(level for _, level in rows))
-            cases += 1
-        for column in iter_columns(LEVELS):
-            expected = [scalar[level].next_level for level in column]
-            for flavour, flavoured in flavours(column):
-                result = decide_dl_array(flavoured, congested, upgrades, GROUP_COUNT)
-                assert [int(v) for v in result] == expected, flavour
-                assert type(result) is type(flavoured)
+    for group_count in range(1, GROUP_COUNT + 1):
+        for congested, upgrades in itertools.product((False, True), _upgrade_subsets()):
+            for level in range(0, group_count + 1):
+                assert decide_dl(level, congested, upgrades, group_count) == model_dl(
+                    level, congested, upgrades, group_count
+                )
                 cases += 1
     return cases
 
 
-def check_ds_reconstruct() -> int:
-    """reconstruct_ds_batch: scalar map + one reconstruction per distinct level."""
-    cases = 0
-    for rows in iter_blocks():
-        calls = []
-
-        def reconstruct(level):
-            calls.append(level)
-            return ("reconstruction", level)
-
-        out = decision.reconstruct_ds_batch(rows, reconstruct)
-        _assert_batch_is_scalar_map(rows, out, lambda level: ("reconstruction", level))
-        assert calls == list(dict.fromkeys(level for _, level in rows))
-        cases += 1
-    return cases
-
-
 def check_forbidden() -> int:
-    """forbidden_groups vs model; forbidden_count_array in every flavour."""
+    """forbidden_groups vs model, including over-entitled receivers."""
     cases = 0
     for group_count in range(0, GROUP_COUNT + 1):
         for entitled in range(0, group_count + 2):
             assert forbidden_groups(entitled, group_count) == model_forbidden(
                 entitled, group_count
             )
-            cases += 1
-    for column in iter_columns(LEVELS):
-        expected = [len(model_forbidden(level, GROUP_COUNT)) for level in column]
-        for flavour, flavoured in flavours(column):
-            result = forbidden_count_array(flavoured, GROUP_COUNT)
-            assert [int(v) for v in result] == expected, flavour
             cases += 1
     return cases
 
@@ -317,7 +169,7 @@ def check_attack_rate() -> int:
 
 
 def check_inflated_join() -> int:
-    """Inflated join: target in range, batch == scalar map, array == batch."""
+    """Inflated join: the target is always a valid subscription level."""
     cases = 0
     for intensity in RATE_GRID:
         for group_count in range(1, GROUP_COUNT + 2):
@@ -325,22 +177,6 @@ def check_inflated_join() -> int:
             assert target == max(1, min(group_count, round(intensity * group_count)))
             assert 1 <= target <= group_count
             cases += 1
-    for target in range(1, GROUP_COUNT + 1):
-        scalar = {level: decide_inflated_join(level, target) for level in LEVELS}
-        for level in LEVELS:
-            assert scalar[level] == DlDecision(next_level=target)
-            cases += 1
-        for rows in iter_blocks():
-            out = decide_inflated_join_batch(rows, target)
-            _assert_batch_is_scalar_map(rows, out, scalar.__getitem__)
-            cases += 1
-        for column in iter_columns(LEVELS):
-            expected = [target] * len(column)
-            for flavour, flavoured in flavours(column):
-                result = decide_inflated_join_array(flavoured, target)
-                assert [int(v) for v in result] == expected, flavour
-                assert type(result) is type(flavoured)
-                cases += 1
     return cases
 
 
@@ -356,7 +192,7 @@ def check_mask_congestion() -> int:
 
 
 def check_churn() -> int:
-    """Churn: phase grid vs model, decide vs model, batch/array == scalar map."""
+    """Churn: phase grid vs model, every (phase, was, entitlement, joined)."""
     cases = 0
     elapsed_grid = tuple(k / 4.0 for k in range(0, 9))
     periods = (0.5, 1.0, 2.0)
@@ -367,13 +203,6 @@ def check_churn() -> int:
             (elapsed % period) < clamped * period
         )
         cases += 1
-    for period, duty in itertools.product(periods, duties):
-        for column in iter_columns(elapsed_grid, max_len=2):
-            expected = [churn_phase(e, period, duty) for e in column]
-            for flavour, flavoured in flavours(column, typecode="d"):
-                result = churn_phase_array(flavoured, period, duty)
-                assert [bool(v) for v in result] == expected, flavour
-                cases += 1
     joined_sets = [
         tuple(sorted(s))
         for size in range(GROUP_COUNT + 1)
@@ -386,24 +215,6 @@ def check_churn() -> int:
             action = decide_churn(phase, was, entitled, GROUP_COUNT, joined)
             assert action == model_churn(phase, was, entitled, GROUP_COUNT, joined)
             cases += 1
-            for rows in iter_blocks(max_rows=MAX_ROWS_DRAWS):
-                out = decide_churn_batch(
-                    rows, phase, was, entitled, GROUP_COUNT, joined
-                )
-                _assert_batch_is_scalar_map(rows, out, lambda _level: action)
-                cases += 1
-    for entitled, joined in itertools.product(LEVELS, joined_sets):
-        for depth in (1, 2):
-            for phase_column in itertools.product((0, 1), repeat=depth):
-                for was_column in itertools.product((0, 1), repeat=depth):
-                    actions = decide_churn_array(
-                        phase_column, was_column, entitled, GROUP_COUNT, joined
-                    )
-                    assert actions == [
-                        decide_churn(bool(p), bool(w), entitled, GROUP_COUNT, joined)
-                        for p, w in zip(phase_column, was_column)
-                    ]
-                    cases += 1
     return cases
 
 
@@ -413,21 +224,13 @@ def _stashes():
 
 
 def check_replay() -> int:
-    """Key replay: every (stash, entitlement, rate) tuple, scalar and batched."""
+    """Key replay: every (stash, entitlement, rate) tuple."""
     cases = 0
     for candidates, per_group in itertools.product(_stashes(), (1, 2, 3)):
-        scalar = {
-            level: replay_volley(candidates, level, GROUP_COUNT, per_group)
-            for level in LEVELS
-        }
         for level in LEVELS:
-            assert scalar[level] == model_replay(
+            assert replay_volley(
                 candidates, level, GROUP_COUNT, per_group
-            )
-            cases += 1
-        for rows in iter_blocks():
-            out = replay_volley_batch(rows, candidates, GROUP_COUNT, per_group)
-            _assert_batch_is_scalar_map(rows, out, scalar.__getitem__)
+            ) == model_replay(candidates, level, GROUP_COUNT, per_group)
             cases += 1
     return cases
 
@@ -435,10 +238,9 @@ def check_replay() -> int:
 def check_guess() -> int:
     """Key guessing: every (entitlement, rate, draw-sequence) tuple.
 
-    The per-cohort randomness model: one shared draw budget per slot, each
-    distinct entitlement consuming positionally from the front — so the batch
-    over any block equals the scalar map with the *same* draws, for **every**
-    draw sequence over the alphabet.  Undersized budgets must raise.
+    One shared draw budget per slot, consumed positionally from the front —
+    for **every** draw sequence over the alphabet.  Surplus draws are
+    ignored; undersized budgets must raise.
     """
     cases = 0
     for guesses in (1, 2):
@@ -447,14 +249,11 @@ def check_guess() -> int:
             for draws in itertools.product(DRAW_ALPHABET, repeat=needed):
                 volley = guess_volley(entitled, GROUP_COUNT, guesses, draws)
                 assert volley == model_guess(entitled, GROUP_COUNT, guesses, draws)
-                cases += 1
-                # surplus draws are ignored (a batched caller sizes for its
-                # deepest row)
                 assert (
                     guess_volley(entitled, GROUP_COUNT, guesses, draws + (1,))
                     == volley
                 )
-                cases += 1
+                cases += 2
             if needed:
                 try:
                     guess_volley(
@@ -466,34 +265,17 @@ def check_guess() -> int:
                     raise AssertionError(
                         "undersized draw budget must raise ValueError"
                     )
-        for rows in iter_blocks(max_rows=MAX_ROWS_DRAWS):
-            budget = max(
-                len(model_forbidden(level, GROUP_COUNT)) for _, level in rows
-            ) * guesses
-            for draws in itertools.product(DRAW_ALPHABET, repeat=budget):
-                out = guess_volley_batch(rows, GROUP_COUNT, guesses, draws)
-                _assert_batch_is_scalar_map(
-                    rows,
-                    out,
-                    lambda level: guess_volley(level, GROUP_COUNT, guesses, draws),
-                )
-                cases += 1
     return cases
 
 
 def check_storm() -> int:
-    """Join storm: every (burst count, group count) pair, scalar and batched."""
+    """Join storm: every (burst count, group count) pair."""
     cases = 0
     for bursts in (1, 2, 3):
         for group_count in range(1, GROUP_COUNT + 1):
             assert decide_join_storm(bursts, group_count) == model_storm(
                 bursts, group_count
             )
-            cases += 1
-        sweep = decide_join_storm(bursts, GROUP_COUNT)
-        for rows in iter_blocks():
-            out = decide_join_storm_batch(rows, bursts, GROUP_COUNT)
-            _assert_batch_is_scalar_map(rows, out, lambda _level: sweep)
             cases += 1
     return cases
 
@@ -511,18 +293,13 @@ def _pools():
 
 
 def check_collusion() -> int:
-    """Collusion: every (pool state, entitlement) tuple, scalar and batched."""
+    """Collusion: every (pool state, entitlement) tuple."""
     cases = 0
     for pooled in _pools():
-        scalar = {
-            level: collusion_volley(pooled, level, GROUP_COUNT) for level in LEVELS
-        }
         for level in LEVELS:
-            assert scalar[level] == model_collusion(pooled, level, GROUP_COUNT)
-            cases += 1
-        for rows in iter_blocks(max_rows=MAX_ROWS_DRAWS):
-            out = collusion_volley_batch(rows, pooled, GROUP_COUNT)
-            _assert_batch_is_scalar_map(rows, out, scalar.__getitem__)
+            assert collusion_volley(pooled, level, GROUP_COUNT) == model_collusion(
+                pooled, level, GROUP_COUNT
+            )
             cases += 1
     return cases
 
@@ -542,51 +319,16 @@ class RuleModel:
 
 #: Every exhaustive model, honest core rules and the full attack registry.
 RULE_MODELS: Tuple[RuleModel, ...] = (
-    RuleModel("core:batch-rows", ("_batch_rows",), check_batch_rows, 1_000),
-    RuleModel("core:merge-rows", ("merge_rows",), check_merge_rows, 1_000),
-    RuleModel(
-        "core:flid-dl", ("decide_dl", "decide_dl_batch", "decide_dl_array"), check_dl, 10_000
-    ),
-    RuleModel("core:flid-ds", ("reconstruct_ds_batch",), check_ds_reconstruct, 1_000),
-    RuleModel(
-        "core:forbidden",
-        ("forbidden_groups", "forbidden_count_array"),
-        check_forbidden,
-        100,
-    ),
-    RuleModel("core:attack-rate", ("attack_rate",), check_attack_rate, 1_000),
-    RuleModel(
-        "inflated-join",
-        (
-            "attack_target_level",
-            "decide_inflated_join",
-            "decide_inflated_join_batch",
-            "decide_inflated_join_array",
-        ),
-        check_inflated_join,
-        5_000,
-    ),
+    RuleModel("core:flid-dl", ("decide_dl",), check_dl, 288),
+    RuleModel("core:forbidden", ("forbidden_groups",), check_forbidden, 14),
+    RuleModel("core:attack-rate", ("attack_rate",), check_attack_rate, 1_024),
+    RuleModel("inflated-join", ("attack_target_level",), check_inflated_join, 128),
     RuleModel("ignore-congestion", ("mask_congestion",), check_mask_congestion, 6),
-    RuleModel(
-        "churn",
-        (
-            "churn_phase",
-            "churn_phase_array",
-            "decide_churn",
-            "decide_churn_batch",
-            "decide_churn_array",
-        ),
-        check_churn,
-        10_000,
-    ),
-    RuleModel("key-replay", ("replay_volley", "replay_volley_batch"), check_replay, 10_000),
-    RuleModel("key-guessing", ("guess_volley", "guess_volley_batch"), check_guess, 2_000),
-    RuleModel(
-        "join-storm", ("decide_join_storm", "decide_join_storm_batch"), check_storm, 5_000
-    ),
-    RuleModel(
-        "collusion", ("collusion_volley", "collusion_volley_batch"), check_collusion, 2_000
-    ),
+    RuleModel("churn", ("churn_phase", "decide_churn"), check_churn, 290),
+    RuleModel("key-replay", ("replay_volley",), check_replay, 84),
+    RuleModel("key-guessing", ("guess_volley",), check_guess, 206),
+    RuleModel("join-storm", ("decide_join_storm",), check_storm, 9),
+    RuleModel("collusion", ("collusion_volley",), check_collusion, 108),
 )
 
 

@@ -19,13 +19,10 @@ from repro.service.protocol import decode_line, encode_message
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
 
-def daemon_env(backend=None):
-    """Subprocess environment with ``src/`` importable and an optional
-    population-backend override."""
+def daemon_env():
+    """Subprocess environment with ``src/`` importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    if backend is not None:
-        env["REPRO_POPULATION_BACKEND"] = backend
     return env
 
 
@@ -58,8 +55,7 @@ def _wait_for_listening(proc, timeout_s=60.0):
     )
 
 
-def spawn_daemon(base, started, jobs=1, backend=None, cache_dir=None,
-                 extra_args=(), name="d"):
+def spawn_daemon(base, started, jobs=1, cache_dir=None, extra_args=(), name="d"):
     """Start a ``repro serve`` subprocess and wait for it to listen."""
     cache = Path(cache_dir) if cache_dir else base / f"{name}-cache"
     socket_path = base / f"{name}.sock"
@@ -79,7 +75,7 @@ def spawn_daemon(base, started, jobs=1, backend=None, cache_dir=None,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=daemon_env(backend),
+        env=daemon_env(),
     )
     started.append(proc)
     _wait_for_listening(proc)

@@ -35,7 +35,7 @@ def daemon(tmp_path):
 @pytest.fixture(scope="module")
 def shared_daemon(tmp_path_factory):
     """Module-scoped daemon factory, for suites that amortise one daemon
-    (per backend) across a parametrised set of cases."""
+    across a parametrised set of cases."""
     started = []
     base = tmp_path_factory.mktemp("service-daemons")
     yield lambda **kwargs: spawn_daemon(base, started, **kwargs)

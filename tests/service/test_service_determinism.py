@@ -4,10 +4,10 @@ The daemon executes cells through the same planner
 (:func:`~repro.experiments.runner.plan_cell`), worker entry point and
 canonical serialisation the batch :class:`ExperimentRunner` uses, so a
 result obtained over the wire must equal the batch result byte for byte —
-for every golden scenario, on both population backends, through the serial
-and pooled daemon, for sharded specs, and with identical SHA-256 cache
-keys on disk.  One daemon per backend is shared across the parametrised
-cases (that sharing *is* the service's cache model).
+for every golden scenario, through the serial and pooled daemon, for
+sharded specs, and with identical SHA-256 cache keys on disk.  One daemon
+is shared across the parametrised golden cases (that sharing *is* the
+service's cache model).
 """
 
 import pytest
@@ -24,7 +24,6 @@ from repro.experiments import (
     execute_spec,
     scenario_spec,
 )
-from repro.multicast_cc.population import BACKEND_ENV_VAR, numpy_available
 
 #: Same golden scenarios (and shortened overrides) as ``tests/golden`` and
 #: the warm-start byte-identity suite.
@@ -55,28 +54,10 @@ GOLDEN_CASES = {
     ),
 }
 
-BACKENDS = ("numpy", "fallback")
-
-
-def _backend_or_skip(name):
-    if name == "numpy" and not numpy_available():
-        pytest.skip("numpy not importable in this environment")
-    return name
-
-
 @pytest.fixture(scope="module")
-def daemon_for(shared_daemon):
-    """One pooled daemon per backend, started lazily and shared module-wide."""
-    handles = {}
-
-    def get(backend):
-        if backend not in handles:
-            handles[backend] = shared_daemon(
-                jobs=2, backend=backend, name=f"det-{backend}"
-            )
-        return handles[backend]
-
-    return get
+def golden_daemon(shared_daemon):
+    """One pooled daemon shared by every golden case in the module."""
+    return shared_daemon(jobs=2, name="det")
 
 
 def fast_spec(seed: int = 0) -> ScenarioSpec:
@@ -125,22 +106,19 @@ def _service_results(handle, spec, seeds):
     return results, [e for e in events if e["event"] == "result"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_golden_service_equals_batch(name, backend, daemon_for, monkeypatch):
-    """Every golden scenario, both backends: wire bytes == batch bytes."""
-    monkeypatch.setenv(BACKEND_ENV_VAR, _backend_or_skip(backend))
+def test_golden_service_equals_batch(name, golden_daemon):
+    """Every golden scenario: wire bytes == batch bytes."""
     spec = scenario_spec(name, **GOLDEN_CASES[name])
     batch = execute_spec(spec).to_json()
-    handle = daemon_for(backend)
-    results, events = _service_results(handle, spec, [spec.seed])
+    results, events = _service_results(golden_daemon, spec, [spec.seed])
     assert results[0].to_json() == batch
     # The streamed document round-trips to the same bytes, and the daemon
     # filed it under the exact cache key a batch runner would use.
     assert RunResult.from_dict(events[0]["result"]).to_json() == batch
     key = ResultCache.key(spec)
     assert events[0]["key"] == key
-    assert (handle.cache_dir / f"{key}.json").read_text() == batch
+    assert (golden_daemon.cache_dir / f"{key}.json").read_text() == batch
 
 
 @pytest.mark.parametrize("jobs", (1, 2))

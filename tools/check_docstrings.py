@@ -54,8 +54,7 @@ SCOPED: Tuple[str, ...] = (
     "multicast_cc/decision.py",
     "multicast_cc/churn.py",
     "multicast_cc/population.py",
-    "multicast_cc/vector.py",
-    "adversary/vector.py",
+    "multicast_cc/cohort.py",
     "service/protocol.py",
     "service/pool.py",
     "service/jobs.py",
