@@ -19,7 +19,7 @@ Since PR 8 the contract spans the **whole adversary registry** — the
 formerly randomised strategies draw per-cohort randomness (one seeded draw
 budget per slot, counts booked per member) and collusion pools accept
 member-weighted contributions, so key-replay, key-guessing, join-storm and
-collusion batch exactly too.  A strategy registered *without* batched
+collusion batch exactly too.  A strategy registered *without* declared
 decision rules is rejected at ``AttackSpec`` declaration — also asserted
 here.
 """

@@ -120,7 +120,7 @@ def test_scale_dumbbell_1m_full_population_wall_clock_budget():
 
     The acceptance bound is 300 s on the reference 1-CPU container; asserting
     a fifth of that leaves generous slack while failing loudly if per-row
-    Python cost ever creeps back into the columnar per-slot path.
+    Python cost ever creeps back into the per-edge receivers' slot path.
     """
     spec = scale_dumbbell_1m_spec()
     assert spec.sessions[0].total_population() == 1_000_000

@@ -211,11 +211,10 @@ class TestShardsField:
 
 
 class TestVectorChurnRejection:
-    """model="vector" blocks cannot churn: the columnar rows are fixed-size.
+    """model="vector" blocks cannot churn: churn resizes one cohort row.
 
-    Regression tests for the spec-construction guard — a churned vector
-    block used to slip through to the scenario interpreter and fail deep
-    inside the population engine.
+    Regression tests for the spec-construction guard, which rejects a
+    churned vector block before it reaches the scenario interpreter.
     """
 
     def test_vector_churn_rejected_at_construction(self):

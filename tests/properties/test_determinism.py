@@ -123,12 +123,11 @@ def test_serial_and_parallel_paths_agree_for_cohort_specs():
 
 
 def test_serial_and_parallel_paths_agree_for_vector_specs():
-    """Columnar vector blocks survive the worker-process round trip.
+    """model="vector" blocks survive the worker-process round trip.
 
-    The block allocation order, the round-robin row placement over the edge
-    routers and the bulk booking order are all deterministic functions of
-    the spec, so the process-pool path must be byte-identical to the serial
-    one — on either column backend.
+    The round-robin row placement over the edge routers and the bulk
+    booking order are deterministic functions of the spec, so the
+    process-pool path must be byte-identical to the serial one.
     """
     seeds = (0, 1)
     serial = ExperimentRunner(jobs=1).run_seed_sweep(vector_spec(), seeds)
