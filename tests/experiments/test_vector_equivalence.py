@@ -12,11 +12,16 @@ must reproduce — with ``==``, on the same seed — what ``model="cohort"`` and
   population-weighted IGMP counters on the unprotected one,
 * for adversarial blocks, identical attack counters under every
   batch-exact strategy.
+
+Every case runs twice: with numpy loaded and with numpy unimportable
+(``tests/_numpy_env.py``), so the aggregated path is shown not to depend on
+it.
 """
 
 import itertools
 
 import pytest
+from _numpy_env import BACKENDS, numpy_visibility
 
 from repro.adversary import AttackSpec
 from repro.experiments import (
@@ -91,26 +96,33 @@ def _run(spec: ScenarioSpec, duration_s: float) -> Scenario:
     return scenario
 
 
-#: Protocol-variant parametrisation (``protected`` flag -> test id).
-DL = pytest.param(False, id="flid_dl")
-DS = pytest.param(True, id="flid_ds")
+def _protocol_params(protected_flags):
+    """Protocol × numpy-visibility parametrisation, ids ``<protocol>-<backend>``."""
+    return [
+        pytest.param(
+            (protected, backend),
+            id=f"{'flid_ds' if protected else 'flid_dl'}-{backend}",
+        )
+        for protected, backend in itertools.product(protected_flags, BACKENDS)
+    ]
 
 
-@pytest.fixture(scope="module", params=[DL, DS])
+@pytest.fixture(scope="module", params=_protocol_params([False, True]))
 def trio(request):
-    """(vector, cohort, individual) scenarios per protocol.
+    """(vector, cohort, individual) scenarios per protocol × backend.
 
     The vector realisation splits the population into one row per member
     (``cohorts=POPULATION``), so the receiver carries per-member rows — the
     shape in which a row drifting off the shared level would show.
     """
-    protected = request.param
-    return (
-        protected,
-        _run(_honest_spec(protected, "vector", POPULATION), DURATION_S),
-        _run(_honest_spec(protected, "cohort"), DURATION_S),
-        _run(_honest_spec(protected, "individual"), DURATION_S),
-    )
+    protected, backend = request.param
+    with numpy_visibility(backend):
+        return (
+            protected,
+            _run(_honest_spec(protected, "vector", POPULATION), DURATION_S),
+            _run(_honest_spec(protected, "cohort"), DURATION_S),
+            _run(_honest_spec(protected, "individual"), DURATION_S),
+        )
 
 
 def test_population_accounting(trio):
@@ -157,7 +169,7 @@ def test_identical_per_member_goodput(trio):
         assert model.average_rate_kbps(0.0, DURATION_S) == member_kbps
 
 
-@pytest.mark.parametrize("trio", [DS], indirect=True)
+@pytest.mark.parametrize("trio", _protocol_params([True]), indirect=True)
 def test_identical_sigma_counters(trio):
     """Protected variant: every SIGMA counter matches exactly."""
     _, vector, cohort, individual = trio
@@ -169,7 +181,7 @@ def test_identical_sigma_counters(trio):
     assert vector.sigma.valid_submissions > 0
 
 
-@pytest.mark.parametrize("trio", [DL], indirect=True)
+@pytest.mark.parametrize("trio", _protocol_params([False]), indirect=True)
 def test_identical_igmp_counters(trio):
     """Unprotected variant: population-weighted join/leave counts match."""
     _, vector, cohort, individual = trio
@@ -198,18 +210,19 @@ def test_block_slices_map_declarations_to_objects(trio):
 # ----------------------------------------------------------------------
 @pytest.fixture(
     scope="module",
-    params=list(itertools.product([False, True], STRATEGIES)),
-    ids=lambda p: f"{'flid_ds' if p[0] else 'flid_dl'}-{p[1]}",
+    params=list(itertools.product([False, True], STRATEGIES, BACKENDS)),
+    ids=lambda p: f"{'flid_ds' if p[0] else 'flid_dl'}-{p[1]}-{p[2]}",
 )
 def attack_pair(request):
-    """(vector, cohort) scenario pairs per protocol × strategy."""
-    protected, strategy = request.param
-    return (
-        protected,
-        strategy,
-        _run(_attack_spec(protected, "vector", strategy), ATTACK_DURATION_S),
-        _run(_attack_spec(protected, "cohort", strategy), ATTACK_DURATION_S),
-    )
+    """(vector, cohort) scenario pairs per protocol × strategy × backend."""
+    protected, strategy, backend = request.param
+    with numpy_visibility(backend):
+        return (
+            protected,
+            strategy,
+            _run(_attack_spec(protected, "vector", strategy), ATTACK_DURATION_S),
+            _run(_attack_spec(protected, "cohort", strategy), ATTACK_DURATION_S),
+        )
 
 
 def test_identical_attack_trajectories(attack_pair):

@@ -2,8 +2,9 @@
 
 The warm-start pipeline promises that resuming a grid cell from a shared
 prefix checkpoint is **indistinguishable** from running it cold: for every
-golden scenario, through the serial and pooled runner paths, the warm result document must equal the cold one byte for
-byte.  This suite holds the pipeline to that bar and to its safety rails:
+golden scenario, with numpy loaded and with numpy unimportable, through
+the serial and pooled runner paths, the warm result document must equal the
+cold one byte for byte.  This suite holds the pipeline to that bar and to its safety rails:
 
 * a prefix is only shared when the swept fields are provably inert before
   the divergence slot — a churn burst inside the prefix splits the key,
@@ -19,6 +20,7 @@ import os
 import pickle
 
 import pytest
+from _numpy_env import BACKENDS, numpy_visibility
 
 from repro.experiments import (
     CheckpointStore,
@@ -79,29 +81,32 @@ def _warm_via_worker(spec, tmp_path, verify=False):
     return run_warm_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_golden_warm_equals_cold(name, tmp_path):
-    """Checkpoint at the barrier, run to end == cold run."""
+def test_golden_warm_equals_cold(name, backend, tmp_path):
+    """Checkpoint at the barrier, run to end == cold run, with and without
+    numpy importable."""
     spec = scenario_spec(name, **GOLDEN_CASES[name])
-    cold = execute_spec(spec).to_json()
-    warm = _warm_via_worker(spec, tmp_path)
-    assert warm == cold
-    # The second warm run restores the published blob instead of rebuilding.
-    plan = plan_prefix(spec)
-    reused = json.loads(
-        run_checkpoint_json(
-            json.dumps(
-                {
-                    "prefix": plan.spec.to_dict(),
-                    "barrier_s": plan.barrier_s,
-                    "dir": str(tmp_path),
-                    "key": plan.checkpoint_key(),
-                }
+    with numpy_visibility(backend):
+        cold = execute_spec(spec).to_json()
+        warm = _warm_via_worker(spec, tmp_path)
+        assert warm == cold
+        # The second warm run restores the published blob instead of rebuilding.
+        plan = plan_prefix(spec)
+        reused = json.loads(
+            run_checkpoint_json(
+                json.dumps(
+                    {
+                        "prefix": plan.spec.to_dict(),
+                        "barrier_s": plan.barrier_s,
+                        "dir": str(tmp_path),
+                        "key": plan.checkpoint_key(),
+                    }
+                )
             )
         )
-    )
-    assert reused["reused"] is True
-    assert _warm_via_worker(spec, tmp_path) == cold
+        assert reused["reused"] is True
+        assert _warm_via_worker(spec, tmp_path) == cold
 
 
 def _protection_grid():

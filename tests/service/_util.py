@@ -26,6 +26,15 @@ def daemon_env():
     return env
 
 
+#: ``python -c`` launcher that makes numpy unimportable, then runs
+#: ``python -m repro`` with the remaining arguments; fork-started pool
+#: workers inherit the hidden module.
+_HIDE_NUMPY = (
+    "import runpy, sys; sys.modules['numpy'] = None; "
+    "runpy.run_module('repro', run_name='__main__', alter_sys=True)"
+)
+
+
 class DaemonHandle:
     """A running ``repro serve`` subprocess plus its endpoint and stores."""
 
@@ -55,15 +64,19 @@ def _wait_for_listening(proc, timeout_s=60.0):
     )
 
 
-def spawn_daemon(base, started, jobs=1, cache_dir=None, extra_args=(), name="d"):
-    """Start a ``repro serve`` subprocess and wait for it to listen."""
+def spawn_daemon(base, started, jobs=1, backend="numpy", cache_dir=None,
+                 extra_args=(), name="d"):
+    """Start a ``repro serve`` subprocess and wait for it to listen.
+
+    ``backend="fallback"`` starts it with numpy unimportable.
+    """
     cache = Path(cache_dir) if cache_dir else base / f"{name}-cache"
     socket_path = base / f"{name}.sock"
+    launcher = ["-c", _HIDE_NUMPY] if backend == "fallback" else ["-m", "repro"]
     proc = subprocess.Popen(
         [
             sys.executable,
-            "-m",
-            "repro",
+            *launcher,
             "serve",
             "--socket",
             str(socket_path),

@@ -4,13 +4,15 @@ The daemon executes cells through the same planner
 (:func:`~repro.experiments.runner.plan_cell`), worker entry point and
 canonical serialisation the batch :class:`ExperimentRunner` uses, so a
 result obtained over the wire must equal the batch result byte for byte —
-for every golden scenario, through the serial and pooled daemon, for
-sharded specs, and with identical SHA-256 cache keys on disk.  One daemon
-is shared across the parametrised golden cases (that sharing *is* the
-service's cache model).
+for every golden scenario (with numpy loaded, and with numpy unimportable
+in both the daemon and the batch side), through the serial and pooled
+daemon, for sharded specs, and with identical SHA-256 cache keys on disk.
+One daemon per numpy setting is shared across the parametrised golden cases
+(that sharing *is* the service's cache model).
 """
 
 import pytest
+from _numpy_env import BACKENDS, numpy_visibility
 
 from repro.adversary import AttackSpec
 from repro.experiments import (
@@ -55,9 +57,19 @@ GOLDEN_CASES = {
 }
 
 @pytest.fixture(scope="module")
-def golden_daemon(shared_daemon):
-    """One pooled daemon shared by every golden case in the module."""
-    return shared_daemon(jobs=2, name="det")
+def daemon_for(shared_daemon):
+    """One pooled daemon per numpy setting, started lazily and shared by
+    every golden case in the module."""
+    handles = {}
+
+    def get(backend):
+        if backend not in handles:
+            handles[backend] = shared_daemon(
+                jobs=2, backend=backend, name=f"det-{backend}"
+            )
+        return handles[backend]
+
+    return get
 
 
 def fast_spec(seed: int = 0) -> ScenarioSpec:
@@ -106,19 +118,22 @@ def _service_results(handle, spec, seeds):
     return results, [e for e in events if e["event"] == "result"]
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_golden_service_equals_batch(name, golden_daemon):
-    """Every golden scenario: wire bytes == batch bytes."""
+def test_golden_service_equals_batch(name, backend, daemon_for):
+    """Every golden scenario, numpy loaded or not: wire bytes == batch bytes."""
     spec = scenario_spec(name, **GOLDEN_CASES[name])
-    batch = execute_spec(spec).to_json()
-    results, events = _service_results(golden_daemon, spec, [spec.seed])
+    with numpy_visibility(backend):
+        batch = execute_spec(spec).to_json()
+    handle = daemon_for(backend)
+    results, events = _service_results(handle, spec, [spec.seed])
     assert results[0].to_json() == batch
     # The streamed document round-trips to the same bytes, and the daemon
     # filed it under the exact cache key a batch runner would use.
     assert RunResult.from_dict(events[0]["result"]).to_json() == batch
     key = ResultCache.key(spec)
     assert events[0]["key"] == key
-    assert (golden_daemon.cache_dir / f"{key}.json").read_text() == batch
+    assert (handle.cache_dir / f"{key}.json").read_text() == batch
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
