@@ -32,7 +32,7 @@ from repro.experiments import (
     scale_protection_spec,
     scenario_spec,
 )
-from repro.experiments.runner import cache_stats, prune_cache
+from repro.experiments.runner import blob_descriptors, cache_stats, prune_cache
 from repro.experiments.scenario import CHECKPOINT_VERSION
 from repro.experiments.warmstart import PREFIX_NAME, run_checkpoint_json, run_warm_json
 from repro.simulator.engine import Simulator
@@ -202,6 +202,47 @@ def test_sharded_warm_equals_cold(tmp_path):
     assert warm.checkpoint_misses == grid[0].shards  # one blob per region
     pooled = ExperimentRunner(jobs=2, cache_dir=tmp_path / "pool", verify_warm_start=True)
     assert [r.to_json() for r in pooled.run(grid)] == cold
+
+
+def test_sharded_verify_catches_forced_divergence(tmp_path):
+    """Wrong region blobs planted under the cell's keys trip the sharded
+    runtime check (warm regions merged vs cold regions merged)."""
+    spec = _tiny_sharded(1.0)
+    wrong = spec.with_seed(99)
+    for (key, *_), (_wrong_key, prefix_dict, barrier_s, membership_log) in zip(
+        blob_descriptors(spec, plan_prefix(spec)),
+        blob_descriptors(wrong, plan_prefix(wrong)),
+    ):
+        payload = {
+            "prefix": prefix_dict,
+            "barrier_s": barrier_s,
+            "dir": str(tmp_path),
+            "key": key,  # published under the *right* key, built from the wrong seed
+            "membership_log": membership_log,
+        }
+        run_checkpoint_json(json.dumps(payload))
+    runner = ExperimentRunner(jobs=1, cache_dir=tmp_path, verify_warm_start=True)
+    with pytest.raises(RuntimeError, match="warm-start divergence"):
+        runner.run([spec])
+
+
+def test_lone_cell_warms_from_a_scratch_published_prefix():
+    """Without a cache_dir, a lone cell warms once its prefix blob is already
+    in the runner's scratch store (published by an earlier shared batch)."""
+
+    def cell(strategy):
+        return scale_protection_spec(
+            audience=400, strategy=strategy, attack_start_s=12.0, duration_s=18.0
+        )
+
+    runner = ExperimentRunner(jobs=1)
+    runner.run([cell("inflated-join"), cell("key-replay")])
+    counters = (runner.warm_runs, runner.checkpoint_misses, runner.checkpoint_hits)
+    assert counters == (2, 1, 0)
+    lone = cell("join-storm")
+    assert runner.run([lone])[0].to_json() == execute_spec(lone).to_json()
+    counters = (runner.warm_runs, runner.checkpoint_misses, runner.checkpoint_hits)
+    assert counters == (3, 1, 1)
 
 
 def test_prefix_shared_across_swept_fields():
