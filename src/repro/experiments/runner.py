@@ -18,10 +18,12 @@ experiment.  Cache entries are written atomically (tmp sibling +
 ``os.replace``) and unparsable entries read as misses, so runners can share
 one cache directory and an interrupted run can never poison later ones.
 
-Specs with ``shards=N`` expand into one job per topology region (planned and
-merged by :mod:`repro.experiments.shard`); region jobs ride the same process
-pool as ordinary specs and the merged result is byte-deterministic across
-the serial and pooled paths, like everything else.
+Every uncached cell becomes jobs through :func:`plan_cell` and a result
+through :meth:`CellPlan.merge`, for the batch runner and the service daemon
+alike.  Specs with ``shards=N`` expand into one job per topology region
+(planned and merged by :mod:`repro.experiments.shard`); region jobs ride the
+same process pool as ordinary specs and the merged result is
+byte-deterministic across the serial and pooled paths, like everything else.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -634,66 +635,82 @@ class CellPlan:
 
     ``setup_jobs`` build missing prefix-checkpoint blobs and must finish
     before ``jobs`` start; ``jobs`` are the cell's main work (one spec/warm
-    job, or one region job per shard).  :meth:`merge` folds the main jobs'
-    outputs into the cell's :class:`RunResult` — for a sharded cell that is
-    the deterministic region merge, otherwise the single output parsed.
-    Shared by the batch runner's durable-cache path and the service daemon,
-    so both produce byte-identical results by construction.
+    job, or one region job per shard), ``verify_jobs`` the cold regions of
+    a verified sharded warm cell and ``blob_keys`` the blobs a warm cell
+    resumes from.  Shared by the batch runner and the service daemon, so
+    both produce byte-identical results by construction.
     """
 
     spec: ScenarioSpec
     setup_jobs: List[Tuple[str, str]] = field(default_factory=list)
     jobs: List[Tuple[str, str]] = field(default_factory=list)
+    verify_jobs: List[Tuple[str, str]] = field(default_factory=list)
+    blob_keys: List[str] = field(default_factory=list)
     shard_plan: Optional[Any] = None
-    warm: bool = False
-    checkpoint_hits: int = 0
-    checkpoint_misses: int = 0
+
+    @property
+    def warm(self) -> bool:
+        """True when the cell resumes from prefix checkpoints."""
+        return bool(self.blob_keys)
+
+    @property
+    def checkpoint_hits(self) -> int:
+        """Blobs already published when the cell was planned."""
+        return len(self.blob_keys) - len(self.setup_jobs)
 
     def merge(self, outputs: Sequence[str]) -> RunResult:
-        """Fold the main jobs' outputs into this cell's result."""
+        """Fold the outputs of ``jobs + verify_jobs`` into this cell's result."""
         if self.shard_plan is None:
             return RunResult.from_json(outputs[0])
         from .shard import merge_region_results
 
         documents = [json.loads(output) for output in outputs]
-        return merge_region_results(self.shard_plan, documents)
+        result = merge_region_results(self.shard_plan, documents[: len(self.jobs)])
+        if self.verify_jobs:
+            cold = merge_region_results(self.shard_plan, documents[len(self.jobs) :])
+            if cold.to_json() != result.to_json():
+                raise RuntimeError(
+                    f"warm-start divergence on {self.spec.name!r} "
+                    f"(seed {self.spec.seed}): the warm sharded "
+                    "result does not byte-match the cold run"
+                )
+        return result
 
 
 def plan_cell(
     spec: ScenarioSpec,
     checkpoint_dir: Optional[Path] = None,
     warm_start: bool = True,
+    verify: bool = False,
+    prefix: Optional[Any] = None,
 ) -> CellPlan:
-    """Plan the jobs realising one cell, warm-starting when durably stored.
+    """Plan the jobs realising one cell: the only place a spec becomes jobs.
 
-    Mirrors the batch runner's policy for a lone cell with a durable cache
-    directory: when the spec has a plannable prefix and ``checkpoint_dir``
-    is durable, the cell resumes from the shared ``ck_*.pkl`` blob store —
-    publishing the blob on a miss so every later cell (from any client)
-    sweeping the same prefix reuses it.  Without a directory, or for specs
-    with no shareable prefix, the cell runs cold.  Sharded specs expand into
-    one region job per shard either way.
+    With a ``checkpoint_dir`` and a shareable prefix (``prefix``, else
+    :func:`~repro.experiments.warmstart.plan_prefix` of ``spec``) the cell
+    resumes from the ``ck_*.pkl`` blob store there, with one setup job
+    publishing each missing blob so every later cell (from any runner or
+    client) sweeping the same prefix reuses it.  Otherwise the cell runs
+    cold.  Sharded specs expand into one region job per shard either way.
+    ``verify`` re-checks a warm cell against a cold run at runtime (in the
+    warm worker, or through ``verify_jobs`` when sharded).  Which cells
+    warm is the caller's policy (see :class:`ExperimentRunner`).
     """
-    from .warmstart import checkpoint_payload, plan_prefix, warm_payload
+    from .warmstart import CheckpointStore, checkpoint_payload, plan_prefix, warm_payload
 
-    prefix_plan = plan_prefix(spec) if warm_start and checkpoint_dir else None
-    plan = CellPlan(spec=spec, warm=prefix_plan is not None)
-    descriptors: List[Tuple] = []
-    if prefix_plan is not None:
-        from .warmstart import CheckpointStore
-
-        store = CheckpointStore(Path(checkpoint_dir))
-        descriptors = blob_descriptors(spec, prefix_plan)
-        for key, prefix_dict, barrier_s, membership_log in descriptors:
-            if store.exists(key):
-                plan.checkpoint_hits += 1
-                continue
-            plan.checkpoint_misses += 1
+    directory = str(checkpoint_dir) if warm_start and checkpoint_dir else ""
+    if directory and prefix is None:
+        prefix = plan_prefix(spec)
+    descriptors = blob_descriptors(spec, prefix) if directory and prefix else []
+    plan = CellPlan(spec=spec, blob_keys=[key for key, *_ in descriptors])
+    store = CheckpointStore(Path(directory))
+    for key, prefix_dict, barrier_s, membership_log in descriptors:
+        if not store.exists(key):
             plan.setup_jobs.append(
                 (
                     "checkpoint",
                     checkpoint_payload(
-                        key, prefix_dict, barrier_s, str(checkpoint_dir),
+                        key, prefix_dict, barrier_s, directory,
                         membership_log=membership_log,
                     ),
                 )
@@ -703,16 +720,19 @@ def plan_cell(
 
         plan.shard_plan = plan_shards(spec)
         payloads = region_payloads(plan.shard_plan)
-        if plan.warm:
-            payloads = _attach_warm_blocks(payloads, descriptors, str(checkpoint_dir))
         plan.jobs = [("region", payload) for payload in payloads]
+        if plan.warm:
+            plan.verify_jobs = plan.jobs if verify else []
+            payloads = _attach_warm_blocks(payloads, descriptors, directory)
+            plan.jobs = [("region", payload) for payload in payloads]
     elif plan.warm:
         key, prefix_dict, barrier_s, _membership_log = descriptors[0]
         plan.jobs = [
             (
                 "warm",
                 warm_payload(
-                    spec.to_dict(), prefix_dict, barrier_s, str(checkpoint_dir), key
+                    spec.to_dict(), prefix_dict, barrier_s, directory, key,
+                    verify=verify,
                 ),
             )
         ]
@@ -727,7 +747,9 @@ def plan_cell(
 class ExperimentRunner:
     """Fan specs out over processes, with optional on-disk result caching.
 
-    With ``warm_start`` (the default) the runner additionally plans
+    Each uncached cell is planned by :func:`plan_cell` and merged by
+    :meth:`CellPlan.merge`, exactly as in the service daemon.  With
+    ``warm_start`` (the default) the runner additionally plans
     common-prefix warm-starts across each batch
     (:mod:`repro.experiments.warmstart`): pending cells whose canonical
     prefix specs are byte-equal share one checkpoint of the pre-attack
@@ -767,8 +789,8 @@ class ExperimentRunner:
         self.checkpoint_misses = 0
         #: Cells executed from a restored prefix instead of from ``t=0``.
         self.warm_runs = 0
-        #: Wall seconds spent planning prefixes and hashing checkpoint keys
-        #: (pure orchestration overhead, no simulation inside).
+        #: Wall seconds spent planning cells (prefixes, checkpoint keys, job
+        #: payloads: pure orchestration overhead, no simulation inside).
         self.plan_overhead_s = 0.0
         #: Wall seconds spent building/publishing missing prefix blobs
         #: (phase-1 checkpoint jobs; simulation of the shared prefix).
@@ -791,209 +813,104 @@ class ExperimentRunner:
         """SHA-256 cache key of ``spec`` (see :meth:`ResultCache.key`)."""
         return ResultCache.key(spec)
 
-    def _read_cached(self, spec: ScenarioSpec) -> Optional[RunResult]:
-        """The cached result for ``spec``, or ``None`` (see :class:`ResultCache`)."""
-        return self._cache.load(spec)
-
-    def _write_cache(self, spec: ScenarioSpec, output: str) -> None:
-        """Atomically publish ``output`` for ``spec`` (see :class:`ResultCache`)."""
-        self._cache.store(spec, output)
-
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
         """Execute every spec, preserving input order in the results.
 
         Cache lookups happen first; identical pending specs are deduplicated
         (one execution, one counted miss, the result fanned out to every
-        occurrence).  A spec with ``shards=N`` expands into ``N`` region
-        jobs planned by :mod:`repro.experiments.shard`; region jobs and
-        ordinary specs share one flat job list over the process pool, and
-        each sharded spec's region documents are merged deterministically
-        before caching.
+        occurrence).  The remaining cells are planned, then run in two pool
+        phases: every missing prefix blob once, however many cells share
+        it, then all cells' main jobs (one per spec, or one per region of a
+        sharded spec) as one flat job list.  Each cell's outputs are merged
+        by its plan before caching.
         """
         specs = list(specs)
         results: List[Optional[RunResult]] = [None] * len(specs)
         occurrences: Dict[str, List[int]] = {}
-        pending: List[int] = []
+        pending: List[ScenarioSpec] = []
         for index, spec in enumerate(specs):
-            cached = self._read_cached(spec)
+            cached = self._cache.load(spec)
             if cached is not None:
                 results[index] = cached
                 self.cache_hits += 1
                 continue
             group = occurrences.setdefault(spec.to_json(), [])
             if not group:
-                pending.append(index)
+                pending.append(spec)
                 self.cache_misses += 1
             group.append(index)
 
         if pending:
-            self._execute_pending(specs, pending, occurrences, results)
+            self._execute_pending(pending, occurrences, results)
         return [result for result in results if result is not None]
 
     # ------------------------------------------------------------------
-    def _plan_warm_starts(
-        self, specs: Sequence[ScenarioSpec], pending: Sequence[int]
-    ) -> Tuple[Dict[int, Any], Dict[int, bool], Dict[int, List[Tuple]], List[Tuple[str, str]]]:
-        """Group pending cells by shared prefix and plan checkpoint jobs.
-
-        Returns ``(plans, warm_cells, blob_descriptors, phase1_jobs)``:
-        per-cell :class:`~repro.experiments.warmstart.PrefixPlan` objects,
-        the cells to warm-start (mapped to their runtime-verify flag), each
-        warm cell's blob descriptors (one per region on sharded specs) and
-        the phase-1 ``("checkpoint", payload)`` jobs for blobs not yet
-        published.  A cell warms when its prefix is shared by another
-        pending cell, when its blobs already exist — or, with a durable
-        ``cache_dir``, always: the prefix must be simulated anyway, so
-        publishing the blob costs one pickle and seeds every future
-        invocation sweeping the same prefix (the CLI's one-cell-at-a-time
-        usage pattern).  Without a ``cache_dir`` a lone cell stays cold —
-        a scratch-directory blob nothing will ever share is pure overhead.
-        """
-        plans: Dict[int, Any] = {}
-        warm_cells: Dict[int, bool] = {}
-        descriptors: Dict[int, List[Tuple]] = {}
-        phase1: List[Tuple[str, str]] = []
-        if not self.warm_start:
-            return plans, warm_cells, descriptors, phase1
-        from .warmstart import CheckpointStore, checkpoint_payload, plan_prefix
-
-        groups: Dict[str, List[int]] = {}
-        for index in pending:
-            plan = plan_prefix(specs[index])
-            if plan is not None:
-                plans[index] = plan
-                groups.setdefault(plan.checkpoint_key(), []).append(index)
-        if not groups:
-            return plans, warm_cells, descriptors, phase1
-
-        store = CheckpointStore(self._checkpoint_dir())
-        planned_keys: Set[str] = set()
-        for members in groups.values():
-            blobs = blob_descriptors(specs[members[0]], plans[members[0]])
-            published = all(store.exists(key) for key, *_ in blobs)
-            if len(members) < 2 and not published and self.cache_dir is None:
-                continue
-            for position, index in enumerate(members):
-                warm_cells[index] = self.verify_warm_start and position == 0
-                descriptors[index] = blobs
-            for key, prefix_dict, barrier_s, membership_log in blobs:
-                if key in planned_keys:
-                    continue
-                planned_keys.add(key)
-                if store.exists(key):
-                    self.checkpoint_hits += 1
-                    continue
-                self.checkpoint_misses += 1
-                phase1.append(
-                    (
-                        "checkpoint",
-                        checkpoint_payload(
-                            key,
-                            prefix_dict,
-                            barrier_s,
-                            str(store.directory),
-                            membership_log=membership_log,
-                        ),
-                    )
-                )
-        return plans, warm_cells, descriptors, phase1
-
     def _execute_pending(
         self,
-        specs: Sequence[ScenarioSpec],
-        pending: Sequence[int],
+        cells: Sequence[ScenarioSpec],
         occurrences: Dict[str, List[int]],
         results: List[Optional[RunResult]],
     ) -> None:
-        """Run the uncached cells: plan warm-starts, fan out, merge, cache."""
+        """Run the uncached cells: plan, run both pool phases, merge, cache."""
         plan_started = time.perf_counter()
-        plans, warm_cells, descriptors, phase1 = self._plan_warm_starts(specs, pending)
+        plans = self._plan_cells(cells)
         self.plan_overhead_s += time.perf_counter() - plan_started
-        checkpoint_dir = str(self._checkpoint_dir()) if warm_cells else ""
-
-        jobs: List[Tuple[str, str]] = []
-        # (spec index, shard plan or None, first job offset, job count)
-        segments: List[Tuple[int, Optional[Any], int, int]] = []
-        # spec index -> (shard plan, offset, count) of the cold verify jobs
-        verify_segments: Dict[int, Tuple[Any, int, int]] = {}
-        for index in pending:
-            spec = specs[index]
-            warm = index in warm_cells
-            if warm:
-                self.warm_runs += 1
-            if spec.shards is not None:
-                from .shard import plan_shards, region_payloads
-
-                plan = plan_shards(spec)
-                payloads = region_payloads(plan)
-                if warm:
-                    payloads = _attach_warm_blocks(
-                        payloads, descriptors[index], checkpoint_dir
-                    )
-                segments.append((index, plan, len(jobs), len(payloads)))
-                jobs.extend(("region", payload) for payload in payloads)
-                if warm and warm_cells[index]:
-                    # Sharded runtime verify: re-run the regions cold and
-                    # compare the merged documents byte for byte.
-                    cold = region_payloads(plan)
-                    verify_segments[index] = (plan, len(jobs), len(cold))
-                    jobs.extend(("region", payload) for payload in cold)
-            elif warm:
-                from .warmstart import warm_payload
-
-                prefix_plan = plans[index]
-                segments.append((index, None, len(jobs), 1))
-                jobs.append(
-                    (
-                        "warm",
-                        warm_payload(
-                            spec.to_dict(),
-                            prefix_plan.spec.to_dict(),
-                            prefix_plan.barrier_s,
-                            checkpoint_dir,
-                            prefix_plan.checkpoint_key(),
-                            verify=warm_cells[index],
-                        ),
-                    )
-                )
-            else:
-                segments.append((index, None, len(jobs), 1))
-                jobs.append(("spec", spec.to_json()))
-
+        setup = list(dict.fromkeys(job for plan in plans for job in plan.setup_jobs))
+        blobs = {key for plan in plans for key in plan.blob_keys}
+        self.checkpoint_misses += len(setup)
+        self.checkpoint_hits += len(blobs) - len(setup)
+        self.warm_runs += sum(plan.warm for plan in plans)
+        cell_jobs = [plan.jobs + plan.verify_jobs for plan in plans]
         with JobExecutor(jobs=self.jobs, retries=self.retries) as executor:
             checkpoint_started = time.perf_counter()
-            executor.run_all(phase1)
+            executor.run_all(setup)
             self.checkpoint_wall_s += time.perf_counter() - checkpoint_started
-            outputs = executor.run_all(jobs)
-
-        for index, plan, offset, count in segments:
-            if plan is None:
-                output = outputs[offset]
-                result = RunResult.from_json(output)
-            else:
-                from .shard import merge_region_results
-
-                documents = [json.loads(outputs[offset + i]) for i in range(count)]
-                result = merge_region_results(plan, documents)
-                output = result.to_json()
-                if index in verify_segments:
-                    cold_plan, cold_offset, cold_count = verify_segments[index]
-                    cold_documents = [
-                        json.loads(outputs[cold_offset + i]) for i in range(cold_count)
-                    ]
-                    cold_output = merge_region_results(
-                        cold_plan, cold_documents
-                    ).to_json()
-                    if cold_output != output:
-                        raise RuntimeError(
-                            f"warm-start divergence on {specs[index].name!r} "
-                            f"(seed {specs[index].seed}): the warm sharded "
-                            "result does not byte-match the cold run"
-                        )
-            for duplicate in occurrences[specs[index].to_json()]:
+            outputs = iter(executor.run_all([job for jobs in cell_jobs for job in jobs]))
+        for plan, jobs in zip(plans, cell_jobs):
+            result = plan.merge([next(outputs) for _ in jobs])
+            for duplicate in occurrences[plan.spec.to_json()]:
                 results[duplicate] = result
-            self._write_cache(specs[index], output)
+            self._cache.store(plan.spec, result.to_json())
+
+    def _plan_cells(self, cells: Sequence[ScenarioSpec]) -> List[CellPlan]:
+        """Plan every pending cell under the batch's warm-start policy.
+
+        Cells whose canonical prefix specs are byte-equal form a group
+        sharing one checkpoint (one per region on sharded specs), whose
+        first cell carries the ``verify_warm_start`` check.  A group warms
+        when it has several cells, when its blobs are already published —
+        or, with a durable ``cache_dir``, always: the prefix must be
+        simulated anyway, so publishing the blob costs one pickle and seeds
+        every future invocation sweeping the same prefix.  Without a
+        ``cache_dir`` a lone cell stays cold — a scratch-directory blob
+        nothing will ever share is pure overhead.
+        """
+        plans: Dict[int, CellPlan] = {}
+        if self.warm_start:
+            from .warmstart import plan_prefix
+
+            prefixes = [plan_prefix(spec) for spec in cells]
+            groups: Dict[str, List[int]] = {}
+            for position, prefix in enumerate(prefixes):
+                if prefix is not None:
+                    groups.setdefault(prefix.checkpoint_key(), []).append(position)
+            for members in groups.values():
+                lone = len(members) == 1 and self.cache_dir is None
+                if lone and self._scratch is None:
+                    continue  # no scratch store yet, so nothing is published
+                group = [
+                    plan_cell(
+                        cells[position],
+                        self._checkpoint_dir(),
+                        verify=self.verify_warm_start and rank == 0,
+                        prefix=prefixes[position],
+                    )
+                    for rank, position in enumerate(members)
+                ]
+                if not (lone and group[0].setup_jobs):
+                    plans.update(zip(members, group))
+        return [plans.get(i) or plan_cell(spec) for i, spec in enumerate(cells)]
 
     # ------------------------------------------------------------------
     def run_one(self, spec: ScenarioSpec) -> RunResult:
@@ -1017,6 +934,7 @@ class ExperimentRunner:
             for seed in seeds:
                 variants.append(base.with_seed(seed))
         return self.run(variants)
+
 
 
 def _attach_warm_blocks(

@@ -264,8 +264,9 @@ def checkpoint_payload(
 ) -> str:
     """The canonical ``("checkpoint", …)`` job payload building one blob.
 
-    One builder shared by the batch runner and the service daemon, so both
-    schedule byte-identical jobs onto :func:`run_checkpoint_json`.
+    Called only by :func:`~repro.experiments.runner.plan_cell`, which the
+    batch runner and the service daemon share, so both schedule
+    byte-identical jobs onto :func:`run_checkpoint_json`.
     """
     return json.dumps(
         {
@@ -290,8 +291,9 @@ def warm_payload(
 ) -> str:
     """The canonical ``("warm", …)`` job payload resuming one cell.
 
-    One builder shared by the batch runner and the service daemon, so both
-    schedule byte-identical jobs onto :func:`run_warm_json`.
+    Called only by :func:`~repro.experiments.runner.plan_cell`, which the
+    batch runner and the service daemon share, so both schedule
+    byte-identical jobs onto :func:`run_warm_json`.
     """
     return json.dumps(
         {

@@ -5,10 +5,11 @@ it admits submissions against a bounded queue, answers cells from the
 shared :class:`~repro.experiments.runner.ResultCache` without touching the
 pool, coalesces concurrent identical cells onto one execution (the
 cross-connection extension of the batch runner's in-batch dedup), and runs
-misses through :func:`~repro.experiments.runner.plan_cell` — the exact
-code path a batch :class:`~repro.experiments.runner.ExperimentRunner` with
-a durable cache takes, which is why service results are byte-identical to
-batch results.
+misses through :func:`~repro.experiments.runner.plan_cell` and
+:meth:`~repro.experiments.runner.CellPlan.merge` — the planner every
+:class:`~repro.experiments.runner.ExperimentRunner` cell goes through too,
+which is why service results are byte-identical to batch results.
+Concurrent cells sharing a prefix coalesce onto one checkpoint build.
 
 Executions are detached :class:`asyncio.Task`s keyed by cache key: a
 client that disconnects mid-stream never cancels the simulation — the
@@ -20,7 +21,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..experiments.runner import ResultCache, RunResult, plan_cell
 from ..experiments.spec import ScenarioSpec
@@ -78,6 +79,9 @@ class ExperimentScheduler:
         #: reports; includes the cells currently executing on the pool).
         self.queued = 0
         self._inflight: Dict[str, "asyncio.Task[RunResult]"] = {}
+        #: In-flight checkpoint builds, keyed by setup job: concurrent cells
+        #: sharing a prefix await one build instead of each scheduling one.
+        self._building: Dict[Tuple[str, str], "asyncio.Task[str]"] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         self.dedup_hits = 0
@@ -135,7 +139,6 @@ class ExperimentScheduler:
             spec, checkpoint_dir=self.checkpoint_dir, warm_start=self.warm_start
         )
         self.checkpoint_hits += plan.checkpoint_hits
-        self.checkpoint_misses += plan.checkpoint_misses
         task = asyncio.get_running_loop().create_task(
             self._execute_cell(spec, plan, timeout_s)
         )
@@ -166,7 +169,7 @@ class ExperimentScheduler:
     ) -> RunResult:
         """Run one planned cell on the pool and publish its result."""
         for job in plan.setup_jobs:
-            await self.pool.run(job, timeout_s)
+            await self._build(job, timeout_s)
         outputs = await asyncio.gather(
             *(self.pool.run(job, timeout_s) for job in plan.jobs)
         )
@@ -176,6 +179,21 @@ class ExperimentScheduler:
         if plan.warm:
             self.warm_runs += 1
         return result
+
+    async def _build(self, job: Tuple[str, str], timeout_s: Optional[float]) -> None:
+        """Run one checkpoint setup job, coalescing onto an in-flight build.
+
+        Cells planned concurrently all see the blob missing; only the
+        first schedules the build (and counts the miss), the rest await
+        it, shielded like :meth:`run_cell`'s executions.
+        """
+        task = self._building.get(job)
+        if task is None:
+            self.checkpoint_misses += 1
+            task = asyncio.get_running_loop().create_task(self.pool.run(job, timeout_s))
+            self._building[job] = task
+            task.add_done_callback(lambda _done: self._building.pop(job, None))
+        await asyncio.shield(task)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

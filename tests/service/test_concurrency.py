@@ -18,10 +18,15 @@ import pytest
 
 from repro.experiments import (
     PAPER_DEFAULTS,
+    ExperimentRunner,
+    ResultCache,
     ScenarioSpec,
     SessionDecl,
+    scale_protection_spec,
 )
 from repro.experiments.runner import run_job
+from repro.service.jobs import ExperimentScheduler
+from repro.service.pool import AsyncJobPool
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -136,3 +141,37 @@ class TestDaemonWideDedup:
             + status["scheduler"]["cache_hits"]
         ) == 1
         assert len(list(handle.cache_dir.glob("*.json"))) == 1
+
+
+class TestSetupCoalescing:
+    def test_concurrent_cells_sharing_a_prefix_build_one_checkpoint(self, tmp_path):
+        """Two in-flight cells planning the same checkpoint job build it once,
+        like one batch does: 1 miss, 1 checkpoint job + 2 warm jobs."""
+        cells = [
+            scale_protection_spec(
+                audience=400, strategy=strategy, attack_start_s=12.0, duration_s=18.0
+            )
+            for strategy in ("inflated-join", "key-replay")
+        ]
+
+        async def scenario():
+            scheduler = ExperimentScheduler(
+                pool=AsyncJobPool(jobs=2),
+                cache=ResultCache(tmp_path),
+                checkpoint_dir=tmp_path,
+            )
+            try:
+                outcomes = await asyncio.gather(
+                    *(scheduler.run_cell(spec) for spec in cells)
+                )
+            finally:
+                scheduler.pool.close()
+            return outcomes, scheduler.stats(), scheduler.pool.stats()
+
+        outcomes, stats, pool_stats = asyncio.run(scenario())
+        assert stats["checkpoint_misses"] == 1
+        assert stats["checkpoint_hits"] == 0
+        assert stats["warm_runs"] == 2
+        assert pool_stats["completed"] == 3
+        batch = ExperimentRunner(jobs=1, cache_dir=tmp_path / "batch").run(cells)
+        assert [o.result.to_json() for o in outcomes] == [r.to_json() for r in batch]
